@@ -125,16 +125,19 @@ def _check_state_out_dir(state_dir: str, out: str) -> None:
                 "share one --out (their pair dirs union into the keep-list)."
             )
     else:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(out_abs + "\n")
-        os.replace(tmp, path)
+        from pynomaly_ray.state.commit import atomic_write
+
+        atomic_write(path, lambda f: f.write((out_abs + "\n").encode()))
 
 
 def cmd_dedup(args) -> int:
     """Deduplicate a documents table (exact / minhash / simhash)."""
     import os
 
+    if getattr(args, "state_dir", None) and args.method != "minhash":
+        err = f"--state-dir is for --method minhash only, not {args.method}"
+        print(json.dumps({"error": err}))
+        return 2
     ray = _ensure_ray(args.num_cpus)
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -191,7 +194,7 @@ def cmd_dedup(args) -> int:
             as_dataset=True,
         )
         if getattr(args, "state_dir", None):
-            from pynomaly_ray.stages.dedup import commit_minhash_state
+            from pynomaly_ray.stages.dedup import commit_run_state
 
             # incremental correctness requires ALL runs' pairs to land
             # under ONE --out (components/keep-lists union them): pin
@@ -209,7 +212,7 @@ def cmd_dedup(args) -> int:
             pairs_ds.write_parquet(
                 _fresh(os.path.join("pairs", args.run_id))
             )
-            commit_minhash_state(args.state_dir, args.run_id)
+            commit_run_state(args.state_dir, args.run_id)
         else:
             # a non-incremental run pointed at an INCREMENTAL --out
             # would rmtree pairs/<run>/ dirs that the committed band
@@ -271,25 +274,13 @@ def cmd_dedup(args) -> int:
                         "use different parameters. Remove them (or use "
                         "a fresh --out) before building a keep-list."
                     )
-                committed = {
-                    d
-                    for d in os.listdir(pairs_root)
-                    if os.path.isdir(os.path.join(pairs_root, d))
-                    and os.path.exists(
-                        os.path.join(
-                            args.state_dir, "bands", ".commit-" + d
-                        )
-                    )
-                }
-                pair_files = [
-                    os.path.join(pairs_root, d, f)
-                    for d in sorted(committed)
-                    for f in sorted(os.listdir(os.path.join(pairs_root, d)))
-                    if f.endswith(".parquet")
-                ]
-                if pair_files:
-                    from pynomaly_ray.sources.parquet import read_parquet_clean
+                from pynomaly_ray.sources.parquet import parquet_files
+                from pynomaly_ray.state.commit import committed
 
+                runs = committed(os.path.join(args.state_dir, "bands"))
+                pair_dirs = [os.path.join(pairs_root, d) for d in sorted(runs)]
+                pair_files = parquet_files(*filter(os.path.isdir, pair_dirs))
+                if pair_files:
                     edge_ds = read_parquet_clean(
                         pair_files, columns=["doc_a", "doc_b"]
                     )
@@ -633,6 +624,7 @@ def cmd_run(args) -> int:
     query and re-running (after clearing) any partial one — the
     job-level twin of the per-operator manifests."""
     import os
+    import traceback
 
     _ensure_ray(args.num_cpus)
     import pandas as pd
@@ -641,6 +633,7 @@ def cmd_run(args) -> int:
 
     from pynomaly_ray.pipelines.engine_queries import ENGINE_QUERIES
     from pynomaly_ray.pipelines.queries import ORACLE_QUERIES
+    from pynomaly_ray.state.commit import write_json
 
     registry = {name: fn for name, (fn, _sql) in ORACLE_QUERIES.items()}
     registry.update(ENGINE_QUERIES)
@@ -649,7 +642,7 @@ def cmd_run(args) -> int:
     if unknown:
         print(json.dumps({"error": f"unknown queries: {unknown}"}))
         return 2
-    ran, skipped = [], []
+    ran, skipped, failed = [], [], []
     for name in names:
         qdir = os.path.join(args.out, name)
         marker = os.path.join(qdir, "_done.json")
@@ -658,24 +651,30 @@ def cmd_run(args) -> int:
             continue
         shutil.rmtree(qdir, ignore_errors=True)  # clear any partial try
         os.makedirs(qdir, exist_ok=True)
-        res = registry[name](args.input)
-        if isinstance(res, pd.DataFrame):
-            tbl = pa.Table.from_pandas(res, preserve_index=False)
-            papq.write_table(tbl, os.path.join(qdir, "result.parquet"))
-            rows = int(tbl.num_rows)
-        elif isinstance(res, pa.Table):
-            papq.write_table(res, os.path.join(qdir, "result.parquet"))
-            rows = int(res.num_rows)
-        else:  # ray Dataset: distributed sink, no driver materialization
-            res.write_parquet(os.path.join(qdir, "result"))
-            rows = None
-        tmp = marker + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump({"name": name, "rows": rows}, f)
-        os.replace(tmp, marker)  # commit point
+        # queries are independent: one failure is recorded (no marker,
+        # so --resume re-runs it) and the batch goes on
+        try:
+            res = registry[name](args.input)
+            if isinstance(res, pd.DataFrame):
+                res = pa.Table.from_pandas(res, preserve_index=False)
+            if isinstance(res, pa.Table):
+                papq.write_table(res, os.path.join(qdir, "result.parquet"))
+                rows = int(res.num_rows)
+            else:  # ray Dataset: distributed sink, no driver collect
+                res.write_parquet(os.path.join(qdir, "result"))
+                rows = None
+        except Exception as e:
+            traceback.print_exc()
+            failed.append({"name": name, "error": f"{type(e).__name__}: {e}"})
+            continue
+        write_json(marker, {"name": name, "rows": rows})  # commit point
         ran.append(name)
-    print(json.dumps({"ran": ran, "skipped": skipped, "out": args.out}))
-    return 0
+    print(
+        json.dumps(
+            {"ran": ran, "skipped": skipped, "failed": failed, "out": args.out}
+        )
+    )
+    return 1 if failed else 0
 
 
 def cmd_layout(args) -> int:

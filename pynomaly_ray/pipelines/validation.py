@@ -48,12 +48,14 @@ from pynomaly_ray.config import (
 )
 from pynomaly_ray.functions.exchange import hash_aggregate
 from pynomaly_ray.functions.hashing import digest_floats
+from pynomaly_ray.sources.parquet import parquet_files
 from pynomaly_ray.stages.stats import finalize_stat_vector, merge_partials_df
 from pynomaly_ray.stages.uniqueness import (
     duplicates_from_docparts,
     emit_duplicate_violations,
 )
 from pynomaly_ray.stages.validate import SequenceValidator, split_union
+from pynomaly_ray.state.commit import atomic_write
 from pynomaly_ray.state.drift import fit_drift_scores
 from pynomaly_ray.state.manifest import (
     completed_partitions,
@@ -104,14 +106,6 @@ def _filter_completed(ds, done: frozenset):
         )
 
     return ds.map_batches(drop_done, batch_format="pyarrow")
-
-
-def _atomic_write(table: pa.Table, path: str) -> None:
-    """Parquet write via tmp+rename so a crash never leaves a partial
-    file that a later run could read (all sinks share this)."""
-    tmp = path + ".tmp"
-    pq.write_table(table, tmp)
-    os.replace(tmp, path)
 
 
 def _empty_df(cols) -> pd.DataFrame:
@@ -216,7 +210,10 @@ def _post_scan_local(tagged, cfg, out_dir, resume):
         prior_dirs = _prior_docpart_dirs(out_dir, cfg.run_id, resume)
         dp_dir = os.path.join(out_dir, "docparts", cfg.run_id)
         os.makedirs(dp_dir, exist_ok=True)
-        _atomic_write(docparts, os.path.join(dp_dir, "docparts.parquet"))
+        atomic_write(
+            os.path.join(dp_dir, "docparts.parquet"),
+            lambda f: pq.write_table(docparts, f),
+        )
         if prior_dirs:
             frames = []
             for d in prior_dirs:
@@ -440,8 +437,9 @@ def run_validation(
         vt = pa.Table.from_pandas(
             viol_df, schema=VIOLATION_SCHEMA, preserve_index=False
         )
-        _atomic_write(
-            vt, os.path.join(out_dir, "violations", f"{cfg.run_id}.parquet")
+        atomic_write(
+            os.path.join(out_dir, "violations", f"{cfg.run_id}.parquet"),
+            lambda f: pq.write_table(vt, f),
         )
 
     if dist_vcounts is not None:
@@ -468,13 +466,9 @@ def run_validation(
             # uncommitted run's docparts are (rightly) distrusted by
             # _prior_docpart_dirs — without this snapshot, duplicates
             # spanning this run and a later one would be missed.
-            write_manifest_snapshot(
-                out_dir, PARTITION_REPORT_SCHEMA.empty_table(), cfg.run_id
-            )
             # duplicates can still be attributed to completed partitions
             # (e.g. a tolerated first occurrence arriving in this run)
-            _amend_completed(out_dir, vcounts, done, cfg.run_id)
-            final = read_full_manifest(out_dir)
+            final = _commit_run(out_dir, report, vcounts, done, cfg.run_id)
             report = final if final is not None else report
         return ValidationResult(
             report,
@@ -504,13 +498,11 @@ def run_validation(
         )
         if out_dir:
             os.makedirs(os.path.join(out_dir, "partitions"), exist_ok=True)
-            _atomic_write(
-                report,
+            atomic_write(
                 os.path.join(out_dir, "partitions", f"{cfg.run_id}.parquet"),
+                lambda f: pq.write_table(report, f),
             )
-            write_manifest_snapshot(out_dir, report, cfg.run_id)
-            _amend_completed(out_dir, vcounts, done, cfg.run_id)
-            final = read_full_manifest(out_dir)
+            final = _commit_run(out_dir, report, vcounts, done, cfg.run_id)
             return ValidationResult(
                 final, violations_out, out_dir, n_sequences, skipped,
                 violations_dir=violations_dir,
@@ -607,13 +599,11 @@ def run_validation(
     )
     if out_dir:
         os.makedirs(os.path.join(out_dir, "partitions"), exist_ok=True)
-        _atomic_write(
-            report,
+        atomic_write(
             os.path.join(out_dir, "partitions", f"{cfg.run_id}.parquet"),
+            lambda f: pq.write_table(report, f),
         )
-        write_manifest_snapshot(out_dir, report, cfg.run_id)
-        _amend_completed(out_dir, vcounts, done, cfg.run_id)
-        final = read_full_manifest(out_dir)
+        final = _commit_run(out_dir, report, vcounts, done, cfg.run_id)
         # The returned report covers ALL partitions ever completed for
         # this out_dir (this run's + resumed-over ones) for the
         # identical-manifest guarantee.
@@ -656,35 +646,50 @@ def _invalid_only_report(
     )
 
 
-def _amend_completed(
-    out_dir: str, vcounts: pd.Series, done: frozenset, run_id: str
-) -> None:
-    """New violations attributed to already-completed partitions (e.g. a
-    duplicate whose tolerated first occurrence only appeared in this run)
-    amend the prior manifest rows: bump n_violations, set status=fail.
-    The amendment snapshot sorts after this run's snapshot so
-    read_full_manifest's last-wins merge picks it up."""
-    if not len(vcounts) or not done:
-        return
-    counts = vcounts[vcounts.index.isin(done)]
-    if not len(counts):
-        return
-    manifest = read_full_manifest(out_dir)
-    mdf = manifest.to_pandas()
-    mask = mdf["partition_id"].isin(counts.index)
-    add = mdf.loc[mask, "partition_id"].map(counts).astype(np.int64)
-    mdf.loc[mask, "n_violations"] = mdf.loc[mask, "n_violations"] + add
-    mdf.loc[mask, "status"] = "fail"
-    amended = pa.Table.from_pandas(mdf[mask], preserve_index=False)
-    # the snapshot sequence number (state/manifest.py) makes this later
-    # snapshot win the per-partition merge; no name tricks needed
-    write_manifest_snapshot(out_dir, amended, run_id)
+def _commit_run(
+    out_dir: str, report: pa.Table, vcounts: pd.Series, done, run_id: str
+) -> Optional[pa.Table]:
+    """Commit the run with ONE manifest snapshot; returns the merged
+    manifest.  New violations attributed to already-completed partitions
+    (e.g. a duplicate whose tolerated first occurrence only appeared in
+    this run) amend those partitions' rows in the same snapshot: bump
+    n_violations, set status=fail.  Being newest, the snapshot wins
+    read_full_manifest's last-wins merge, and a crash can never commit
+    the run without its amendments."""
+    counts = vcounts[vcounts.index.isin(done)] if done else vcounts[:0]
+    if len(counts):
+        mdf = read_full_manifest(out_dir).to_pandas()
+        mask = mdf["partition_id"].isin(counts.index)
+        add = mdf.loc[mask, "partition_id"].map(counts).astype(np.int64)
+        mdf.loc[mask, "n_violations"] = mdf.loc[mask, "n_violations"] + add
+        mdf.loc[mask, "status"] = "fail"
+        amended = pa.Table.from_pandas(mdf[mask], preserve_index=False)
+        own = report.select(amended.column_names)
+        report = pa.concat_tables([own, amended.cast(own.schema)])
+    write_manifest_snapshot(out_dir, report, run_id)
+    return read_full_manifest(out_dir)
 
 
 # broadcast-vs-anti-join switch point: ~10^6 string ids is ~50 MB
 # re-serialized into EVERY filter task; beyond it the partitioned
 # anti-join (1/P of the set per task) wins
 _BAD_IDS_BROADCAST_CAP = 1_000_000
+
+
+def _committed_violation_files(out_dir: str, run_id: str) -> list[str]:
+    """Violation files of the runs committed under ``out_dir`` other
+    than ``run_id``: ``<run>.parquet`` (driver path) or the part files
+    of ``<run>/`` (distributed path)."""
+    from pynomaly_ray.state.manifest import committed_run_ids
+
+    root = os.path.join(out_dir, "violations")
+    files = []
+    for run in sorted(committed_run_ids(out_dir) - {run_id}):
+        if os.path.isfile(single := os.path.join(root, f"{run}.parquet")):
+            files.append(single)
+        elif os.path.isdir(os.path.join(root, run)):
+            files += parquet_files(os.path.join(root, run))
+    return files
 
 
 def write_validated_output(
@@ -700,6 +705,9 @@ def write_validated_output(
     whose violation volume exceeded the driver cap (use
     ``ValidationResult.violations_dir``; the rows never reach the
     driver, only their id column flows through the anti-join exchange).
+    The violations of every other run committed under ``out_dir`` join
+    the same id source: a resumed run skips the partitions an earlier
+    run validated, but the sink writes them again from ``ds``.
 
     Layout: ``out_dir/validated/<run_id>/partition_id=<pid>/*.parquet``.
     Idempotent per run: the run's dest dir is cleared before writing, so
@@ -734,18 +742,23 @@ def write_validated_output(
 
     from pynomaly_ray.functions.exchange import hash_anti_join
 
+    prior = _committed_violation_files(out_dir, run_id)
     if isinstance(viol_source, str):
         # distributed violations: their ids flow straight into the
         # anti-join exchange, never onto the driver
         from pynomaly_ray.sources.parquet import read_parquet_clean
 
-        bad_ds = read_parquet_clean(viol_source, columns=["doc_id"])
+        bad_ds = read_parquet_clean(
+            parquet_files(viol_source) + prior, columns=["doc_id"]
+        )
         valid = hash_anti_join(clean, bad_ds, "doc_id")
     else:
         viol_df = viol_source
-        bad_id_list = (
-            sorted(set(viol_df["doc_id"].dropna())) if len(viol_df) else []
-        )
+        bad = set(viol_df["doc_id"].dropna()) if len(viol_df) else set()
+        for f in prior:
+            ids = pq.read_table(f, columns=["doc_id"])["doc_id"]
+            bad.update(ids.drop_null().to_pylist())
+        bad_id_list = sorted(bad)
         if len(bad_id_list) <= _BAD_IDS_BROADCAST_CAP:
             bad_ids = pa.array(bad_id_list, pa.string())
 
@@ -775,13 +788,9 @@ def sequence_dataset_from_dir(path: str, rows_per_block: int = 32768):
     files, never within a task), and more for very large files; capped
     so tiny inputs don't shatter into scheduling confetti.
     """
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
     from pynomaly_ray.sources.parquet import read_parquet_clean
 
+    files = parquet_files(path)
     total = sum(pq.read_metadata(f).num_rows for f in files)
     blocks = max(len(files), min(1024, total // rows_per_block + 1))
     return read_parquet_clean(files, override_num_blocks=blocks)

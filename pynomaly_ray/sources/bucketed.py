@@ -30,7 +30,6 @@ marker — a layout without it is unfinished and refuses to serve joins.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Callable, Sequence
 
@@ -41,6 +40,7 @@ import pyarrow.parquet as papq
 import ray.data as rd
 
 from pynomaly_ray.functions.exchange import _bucket_of
+from pynomaly_ray.state.commit import atomic_write, read_manifest, write_json
 
 _MANIFEST = "_bucketed.json"
 
@@ -85,10 +85,10 @@ def write_bucketed(ds, key_cols: Sequence[str], num_buckets: int, path: str) -> 
         # every row in this task shares one bucket (that's what the
         # exchange routed on), so the first row names the file
         i = int(_bucket_of(t.slice(0, 1), key_cols, num_buckets)[0])
-        dest = os.path.join(path, f"bucket={i}", "data.parquet")
-        tmp = dest + ".tmp"
-        papq.write_table(t, tmp)
-        os.replace(tmp, dest)
+        atomic_write(
+            os.path.join(path, f"bucket={i}", "data.parquet"),
+            lambda f: papq.write_table(t, f),
+        )
         # schema rides back from the ARROW block itself: the Ray Schema
         # wrapper cannot render pandas extension dtypes (Int64, object)
         # as Arrow types, while the exchanged block always carries a
@@ -128,23 +128,16 @@ def write_bucketed(ds, key_cols: Sequence[str], num_buckets: int, path: str) -> 
         "rows": n_rows,
         "schema_hex": arrow_schema.serialize().to_pybytes().hex(),
     }
-    tmp = os.path.join(path, _MANIFEST + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, os.path.join(path, _MANIFEST))  # commit marker
+    write_json(os.path.join(path, _MANIFEST), manifest)  # commit marker
     return manifest
 
 
 def load_manifest(path: str) -> dict:
-    mp = os.path.join(path, _MANIFEST)
-    if not os.path.exists(mp):
-        raise FileNotFoundError(
-            f"{path} has no {_MANIFEST} commit marker — the bucketed "
-            "layout is unfinished or not a bucketed layout; rewrite it "
-            "with write_bucketed before joining on it"
-        )
-    with open(mp) as f:
-        return json.load(f)
+    return read_manifest(
+        os.path.join(path, _MANIFEST),
+        "the bucketed layout is unfinished or not a bucketed layout; "
+        "rewrite it with write_bucketed before joining on it",
+    )
 
 
 def _bucket_schema(manifest: dict) -> pa.Schema:
@@ -153,13 +146,17 @@ def _bucket_schema(manifest: dict) -> pa.Schema:
     )
 
 
-def _read_bucket(path: str, i: int, schema: pa.Schema) -> pa.Table:
+def _read_bucket(path: str, i: int, m: dict) -> pa.Table:
+    """Bucket ``i`` as committed by manifest ``m``: ``data.parquet``
+    plus the appended ``data-g<k>`` generations with k <= its ``gen``
+    (an interrupted append's files are on disk but stay unread)."""
     d = os.path.join(path, f"bucket={i}")
-    files = sorted(
-        os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet")
-    )
+    names = {"data.parquet"} | {
+        f"data-g{g:04d}.parquet" for g in range(1, int(m.get("gen", 0)) + 1)
+    }
+    files = sorted(os.path.join(d, f) for f in os.listdir(d) if f in names)
     if not files:
-        return schema.empty_table()
+        return _bucket_schema(m).empty_table()
     return pa.concat_tables([papq.read_table(f) for f in files])
 
 
@@ -188,14 +185,13 @@ def bucketed_join(
     if len(ma["key_cols"]) != len(mb["key_cols"]):
         raise ValueError("key width mismatch between bucketed layouts")
     p = ma["num_buckets"]
-    sa, sb = _bucket_schema(ma), _bucket_schema(mb)
     ka, kb = ma["key_cols"], mb["key_cols"]
 
     def join_bucket(t: pa.Table) -> pa.Table:
         outs = []
         for i in t["bucket"].to_pylist():
-            da = _read_bucket(path_a, i, sa).to_pandas()
-            db = _read_bucket(path_b, i, sb).to_pandas()
+            da = _read_bucket(path_a, i, ma).to_pandas()
+            db = _read_bucket(path_b, i, mb).to_pandas()
             m = da.merge(db, left_on=ka, right_on=kb, how=how)
             if merge_fn is not None:
                 m = merge_fn(m)
@@ -223,13 +219,12 @@ def bucketed_aggregate(
     Returns a ray.data.Dataset of the merged rows, one task per bucket.
     """
     m = load_manifest(path)
-    schema = _bucket_schema(m)
     p = m["num_buckets"]
 
     def agg_bucket(t: pa.Table) -> pa.Table:
         outs = []
         for i in t["bucket"].to_pylist():
-            df = _read_bucket(path, i, schema).to_pandas()
+            df = _read_bucket(path, i, m).to_pandas()
             outs.append(
                 pa.Table.from_pandas(
                     merge_fn(df), preserve_index=False
@@ -293,7 +288,7 @@ def bucketed_join_live(
             df = t.to_pandas()
         else:
             i = int(_bucket_of(t.slice(0, 1), live_keys, p)[0])
-            right = _read_bucket(path, i, schema).to_pandas()
+            right = _read_bucket(path, i, m).to_pandas()
             df = t.to_pandas()
         out = df.merge(
             right, left_on=live_keys, right_on=m["key_cols"], how=how
@@ -322,13 +317,10 @@ def append_bucketed(ds, path: str) -> dict:
     Crash/retry safety mirrors write_bucketed: file name is
     deterministic (bucket id + generation), so a retried writer
     overwrites its own file; the manifest is replaced LAST, and a
-    crashed append leaves orphan generation files that the NEXT
-    successful append of the same generation overwrites.  Note the one
-    asymmetry with the sorted layout: bucket readers glob the
-    directory, so an orphan from a crashed append IS visible to reads
-    — re-run the append to completion (idempotent) before serving
-    reads, or delete ``data-g<gen>`` files newer than the manifest's
-    ``gen``.  The delta's schema must match the layout's exactly.
+    crashed append leaves orphan generation files that readers skip
+    (their generation is above the manifest's ``gen``) and the NEXT
+    append of the same generation removes first.  The delta's schema
+    must match the layout's exactly.
     """
     from pynomaly_ray.functions.exchange import hash_aggregate
 
@@ -337,6 +329,12 @@ def append_bucketed(ds, path: str) -> dict:
     p = int(m["num_buckets"])
     gen = int(m.get("gen", 0)) + 1
     expected_hex = m["schema_hex"]
+    # a crashed attempt at this generation may have left files in buckets
+    # this delta never writes; committing gen would expose them
+    for i in range(p):
+        stale = os.path.join(path, f"bucket={i}", f"data-g{gen:04d}.parquet")
+        if os.path.exists(stale):
+            os.remove(stale)
 
     def write_bucket(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -349,10 +347,10 @@ def append_bucketed(ds, path: str) -> dict:
                 "same types, same order) before appending"
             )
         i = int(_bucket_of(t.slice(0, 1), key_cols, p)[0])
-        dest = os.path.join(path, f"bucket={i}", f"data-g{gen:04d}.parquet")
-        tmp = dest + ".tmp"
-        papq.write_table(t, tmp)
-        os.replace(tmp, dest)
+        atomic_write(
+            os.path.join(path, f"bucket={i}", f"data-g{gen:04d}.parquet"),
+            lambda f: papq.write_table(t, f),
+        )
         return pa.table({"rows": pa.array([t.num_rows], pa.int64())})
 
     parts = hash_aggregate(
@@ -361,10 +359,7 @@ def append_bucketed(ds, path: str) -> dict:
     n_rows = int(parts["rows"].sum()) if "rows" in parts.columns else 0
     m["rows"] = int(m["rows"]) + n_rows
     m["gen"] = gen
-    tmp = os.path.join(path, _MANIFEST + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(m, f)
-    os.replace(tmp, os.path.join(path, _MANIFEST))
+    write_json(os.path.join(path, _MANIFEST), m)
     return m
 
 
@@ -415,14 +410,13 @@ def bucketed_asof_join(
     if len(ma["key_cols"]) != len(mb["key_cols"]):
         raise ValueError("key width mismatch between bucketed layouts")
     p = ma["num_buckets"]
-    sa, sb = _bucket_schema(ma), _bucket_schema(mb)
     ka, kb = list(ma["key_cols"]), list(mb["key_cols"])
 
     def asof_bucket(t: pa.Table) -> pa.Table:
         outs = []
         for i in t["bucket"].to_pylist():
-            lt = _read_bucket(path_a, i, sa)
-            rt = _read_bucket(path_b, i, sb)
+            lt = _read_bucket(path_a, i, ma)
+            rt = _read_bucket(path_b, i, mb)
             lcols = lt.schema.names
             rcols = [c for c in rt.schema.names if c not in kb]
             out_names = lcols + [
@@ -521,11 +515,10 @@ def compact_bucketed(path: str) -> dict:
 
     m = load_manifest(path)
     p = int(m["num_buckets"])
-    schema = _bucket_schema(m)
 
     @ray.remote
     def _read(i: int) -> pa.Table:
-        return _read_bucket(path, i, schema)
+        return _read_bucket(path, i, m)
 
     refs = [_read.remote(i) for i in range(p)]
     ray.wait(refs, num_returns=p)  # fully in the object store first
@@ -539,10 +532,10 @@ def compact_bucketed(path: str) -> dict:
             if f.endswith(".parquet"):
                 os.remove(os.path.join(d, f))
         if t.num_rows:
-            dest = os.path.join(d, "data.parquet")
-            tmp = dest + ".tmp"
-            papq.write_table(t.replace_schema_metadata(None), tmp)
-            os.replace(tmp, dest)
+            atomic_write(
+                os.path.join(d, "data.parquet"),
+                lambda f: papq.write_table(t.replace_schema_metadata(None), f),
+            )
         return t.num_rows
 
     n_rows = int(
@@ -550,8 +543,5 @@ def compact_bucketed(path: str) -> dict:
     )
     m["rows"] = n_rows
     m["gen"] = 0
-    tmp = os.path.join(path, _MANIFEST + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(m, f)
-    os.replace(tmp, os.path.join(path, _MANIFEST))  # commit
+    write_json(os.path.join(path, _MANIFEST), m)  # commit
     return m

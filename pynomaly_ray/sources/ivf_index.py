@@ -8,9 +8,10 @@ probe-only I/O — the vector-index twin of the bucketed/sorted layouts:
 - :func:`write_ivf_index` fits k-means centroids (deterministic
   farthest-point init, see ``stages/clustering``), streams one
   assignment pass, and writes ``clusters/cluster=<cid>/`` hive
-  partitions plus ``centroids.parquet``; the ``_ivf.json`` manifest is
-  written LAST as the commit marker (crash leaves a refuse-to-serve
-  directory, never a half-index).
+  partitions (published as one directory) plus ``centroids.parquet``;
+  the ``_ivf.json`` manifest is written LAST as the commit marker and
+  retracted first on a rewrite (a crash leaves a refuse-to-serve
+  directory, never a half-index or a mix of two builds).
 - :func:`ivf_probe_plan` ranks centroids per query (exact L2 on the
   tiny (k, d) matrix) — the query planner.
 - :func:`ivf_search` reads ONLY the planned partitions (hive pruning
@@ -27,7 +28,6 @@ force).
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -36,6 +36,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
+
+from pynomaly_ray.state.commit import (
+    atomic_write,
+    publish_dir,
+    read_manifest,
+    write_json,
+)
 
 _MANIFEST = "_ivf.json"
 
@@ -55,6 +62,9 @@ def write_ivf_index(
         emb_ds, k=k, n_iter=n_iter, id_col=id_col, vec_col=vec_col
     )
     os.makedirs(path, exist_ok=True)
+    marker = os.path.join(path, _MANIFEST)
+    if os.path.exists(marker):
+        os.remove(marker)  # retract before rewrite
     assigned = kmeans_assign(
         emb_ds, cents, id_col=id_col, vec_col=vec_col, keep_vec=True
     )
@@ -70,22 +80,24 @@ def write_ivf_index(
         )
 
     rows_ds = assigned.map_batches(drop_key, batch_format="pyarrow")
-    clusters_dir = os.path.join(path, "clusters")
-    rows_ds.write_parquet(clusters_dir, partition_cols=["cluster"])
+    clusters_dir = publish_dir(
+        os.path.join(path, "clusters"),
+        lambda tmp: rows_ds.write_parquet(tmp, partition_cols=["cluster"]),
+    )
 
     import pyarrow.parquet as papq
 
-    papq.write_table(
-        pa.table(
-            {
-                "cid": pa.array(np.arange(len(cents), dtype=np.int64)),
-                "centroid": pa.array(
-                    [list(map(float, c)) for c in cents],
-                    pa.list_(pa.float64()),
-                ),
-            }
-        ),
+    centroids = pa.table(
+        {
+            "cid": pa.array(np.arange(len(cents), dtype=np.int64)),
+            "centroid": pa.array(
+                [list(map(float, c)) for c in cents], pa.list_(pa.float64())
+            ),
+        }
+    )
+    atomic_write(
         os.path.join(path, "centroids.parquet"),
+        lambda f: papq.write_table(centroids, f),
     )
     n_rows = sum(
         papq.read_metadata(os.path.join(dp, f)).num_rows
@@ -100,22 +112,16 @@ def write_ivf_index(
         "id_col": id_col,
         "vec_col": vec_col,
     }
-    tmp = os.path.join(path, _MANIFEST + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, os.path.join(path, _MANIFEST))  # commit marker
+    write_json(marker, manifest)  # commit marker
     return manifest
 
 
 def load_manifest(path: str) -> dict:
-    mp = os.path.join(path, _MANIFEST)
-    if not os.path.exists(mp):
-        raise FileNotFoundError(
-            f"{path} has no {_MANIFEST} commit marker — the IVF index is "
-            "unfinished or not an index; rewrite it with write_ivf_index"
-        )
-    with open(mp) as f:
-        return json.load(f)
+    return read_manifest(
+        os.path.join(path, _MANIFEST),
+        "the IVF index is unfinished or not an index; rewrite it with "
+        "write_ivf_index",
+    )
 
 
 def _centroids(path: str) -> np.ndarray:
@@ -146,6 +152,16 @@ def ivf_probe_plan(path: str, queries: np.ndarray, nprobe: int) -> np.ndarray:
     )
     # deterministic tie-break: stable argsort on (distance, cid)
     return np.argsort(d2, axis=1, kind="stable")[:, :nprobe].astype(np.int64)
+
+
+def _assert_probed_only(files, probed) -> None:
+    """Every file read must sit directly in a probed ``cluster=<c>``
+    directory — an exact path component, so ``cluster=12`` never
+    passes for a probe of ``cluster=1``."""
+    allowed = {f"cluster={c}" for c in probed}
+    for f in files:
+        if os.path.basename(os.path.dirname(f)) not in allowed:
+            raise AssertionError(f"probe read escaped its partitions: {f}")
 
 
 def ivf_search(
@@ -192,10 +208,7 @@ def ivf_search(
             }
         )
     ds = read_parquet_clean(files, columns=[m["id_col"], m["vec_col"], "cid"])
-    probed_set = {f"cluster={c}" for c in probed}
-    for f in ds.input_files():
-        if not any(p in f for p in probed_set):
-            raise AssertionError(f"probe read escaped its partitions: {f}")
+    _assert_probed_only(ds.input_files(), probed)
     # per-query probe membership as a dense (n_queries, k) mask
     mask = np.zeros((len(qn), m["k"]), dtype=bool)
     for i, row in enumerate(plan):

@@ -12,6 +12,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 
 import ray.data as rd
@@ -19,6 +21,16 @@ import ray.data as rd
 
 def strip_schema_metadata(t: pa.Table) -> pa.Table:
     return t.replace_schema_metadata(None)
+
+
+def parquet_files(*dirs: str) -> list[str]:
+    """The ``*.parquet`` files directly under each dir, in name order."""
+    return [
+        os.path.join(d, f)
+        for d in dirs
+        for f in sorted(os.listdir(d))
+        if f.endswith(".parquet")
+    ]
 
 
 def read_parquet_clean(

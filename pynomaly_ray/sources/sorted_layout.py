@@ -46,6 +46,8 @@ import pyarrow.parquet as papq
 import ray
 import ray.data as rd
 
+from pynomaly_ray.state.commit import atomic_write, read_manifest, write_json
+
 _MANIFEST = "_sorted.json"
 
 
@@ -81,6 +83,43 @@ def _bound_scalar(v, kind: str) -> pa.Scalar:
     return pa.scalar(str(v), pa.string())
 
 
+# schema and key kind come from the ARROW blocks themselves, not the Ray
+# Schema wrapper: a from_pandas Dataset reports pandas extension dtypes
+# (Int64, object) the wrapper cannot render as Arrow types, while the
+# materialized blocks always carry a real pa.Schema
+@ray.remote
+def _write_part(t: pa.Table, key: str, dest: str) -> dict:
+    """Persist one range-sorted block at ``dest``; returns its zone."""
+    t = t.replace_schema_metadata(None)
+    # a 0-row block can arrive with NO schema at all (fully-pruned
+    # upstream read); it carries no layout information — mark it
+    # skippable rather than crash on the missing key field
+    if t.num_rows == 0 and key not in t.schema.names:
+        return {
+            "file": None, "rows": 0, "lo": None, "hi": None,
+            "nulls": 0, "kind": None, "schema_hex": None,
+        }
+    sch_hex = t.schema.serialize().to_pybytes().hex()
+    kind = _key_kind(t.schema.field(key).type)
+    if t.num_rows == 0:
+        return {
+            "file": None, "rows": 0, "lo": None, "hi": None,
+            "nulls": 0, "kind": kind, "schema_hex": sch_hex,
+        }
+    atomic_write(dest, lambda f: papq.write_table(t, f))
+    col = t[key]
+    valid = col.drop_null()
+    return {
+        "file": os.path.basename(dest),
+        "rows": t.num_rows,
+        "lo": _ser(pc.min(valid).as_py(), kind) if len(valid) else None,
+        "hi": _ser(pc.max(valid).as_py(), kind) if len(valid) else None,
+        "nulls": int(col.null_count),
+        "kind": kind,
+        "schema_hex": sch_hex,
+    }
+
+
 def write_sorted(ds, key: str, path: str, num_partitions: int | None = None) -> dict:
     """Range-sort ``ds`` on ``key`` and persist it as a zone-mapped
     layout under ``path``.  Returns (and persists) the manifest."""
@@ -97,45 +136,12 @@ def write_sorted(ds, key: str, path: str, num_partitions: int | None = None) -> 
     sorted_ds = range_sort(ds, key, num_partitions)
     refs = sorted_ds.to_arrow_refs()
 
-    # schema and key kind come from the ARROW blocks themselves, not the
-    # Ray Schema wrapper: a from_pandas Dataset reports pandas extension
-    # dtypes (Int64, object) the wrapper cannot render as Arrow types,
-    # while the materialized blocks always carry a real pa.Schema
-    @ray.remote
-    def _write(t: pa.Table, i: int) -> dict:
-        t = t.replace_schema_metadata(None)
-        # a 0-row block can arrive with NO schema at all (fully-pruned
-        # upstream read); it carries no layout information — mark it
-        # skippable rather than crash on the missing key field
-        if t.num_rows == 0 and key not in t.schema.names:
-            return {
-                "file": None, "rows": 0, "lo": None, "hi": None,
-                "nulls": 0, "kind": None, "schema_hex": None,
-            }
-        sch_hex = t.schema.serialize().to_pybytes().hex()
-        kind = _key_kind(t.schema.field(key).type)
-        if t.num_rows == 0:
-            return {
-                "file": None, "rows": 0, "lo": None, "hi": None,
-                "nulls": 0, "kind": kind, "schema_hex": sch_hex,
-            }
-        dest = os.path.join(path, f"part-{i:05d}.parquet")
-        tmp = dest + ".tmp"
-        papq.write_table(t, tmp)
-        os.replace(tmp, dest)
-        col = t[key]
-        valid = col.drop_null()
-        return {
-            "file": os.path.basename(dest),
-            "rows": t.num_rows,
-            "lo": _ser(pc.min(valid).as_py(), kind) if len(valid) else None,
-            "hi": _ser(pc.max(valid).as_py(), kind) if len(valid) else None,
-            "nulls": int(col.null_count),
-            "kind": kind,
-            "schema_hex": sch_hex,
-        }
-
-    results = ray.get([_write.remote(r, i) for i, r in enumerate(refs)])
+    results = ray.get(
+        [
+            _write_part.remote(r, key, os.path.join(path, f"part-{i:05d}.parquet"))
+            for i, r in enumerate(refs)
+        ]
+    )
     if not results:
         raise ValueError(
             "write_sorted needs a typed input; a fully-empty schemaless "
@@ -162,10 +168,7 @@ def write_sorted(ds, key: str, path: str, num_partitions: int | None = None) -> 
         "zones": zones,
         "schema_hex": schema_hex,
     }
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, marker)  # commit marker
+    write_json(marker, manifest)  # commit marker
     return manifest
 
 
@@ -197,41 +200,14 @@ def append_sorted(ds, path: str, num_partitions: int | None = None) -> dict:
     sorted_ds = range_sort(ds, key, num_partitions)
     refs = sorted_ds.to_arrow_refs()
 
-    @ray.remote
-    def _write(t: pa.Table, i: int) -> dict:
-        t = t.replace_schema_metadata(None)
-        # a 0-row block can arrive with NO schema at all (fully-pruned
-        # upstream read); it carries no layout information — mark it
-        # skippable rather than crash on the missing key field
-        if t.num_rows == 0 and key not in t.schema.names:
-            return {
-                "file": None, "rows": 0, "lo": None, "hi": None,
-                "nulls": 0, "kind": None, "schema_hex": None,
-            }
-        sch_hex = t.schema.serialize().to_pybytes().hex()
-        kind = _key_kind(t.schema.field(key).type)
-        if t.num_rows == 0:
-            return {
-                "file": None, "rows": 0, "lo": None, "hi": None,
-                "nulls": 0, "kind": kind, "schema_hex": sch_hex,
-            }
-        dest = os.path.join(path, f"part-g{gen:04d}-{i:05d}.parquet")
-        tmp = dest + ".tmp"
-        papq.write_table(t, tmp)
-        os.replace(tmp, dest)
-        col = t[key]
-        valid = col.drop_null()
-        return {
-            "file": os.path.basename(dest),
-            "rows": t.num_rows,
-            "lo": _ser(pc.min(valid).as_py(), kind) if len(valid) else None,
-            "hi": _ser(pc.max(valid).as_py(), kind) if len(valid) else None,
-            "nulls": int(col.null_count),
-            "kind": kind,
-            "schema_hex": sch_hex,
-        }
-
-    results = ray.get([_write.remote(r, i) for i, r in enumerate(refs)])
+    results = ray.get(
+        [
+            _write_part.remote(
+                r, key, os.path.join(path, f"part-g{gen:04d}-{i:05d}.parquet")
+            )
+            for i, r in enumerate(refs)
+        ]
+    )
     results = [z for z in results if z["kind"] is not None]
     if results and results[0]["schema_hex"] != m["schema_hex"]:
         raise ValueError(
@@ -247,11 +223,7 @@ def append_sorted(ds, path: str, num_partitions: int | None = None) -> dict:
     m["zones"] = m["zones"] + new_zones
     m["rows"] = int(m["rows"]) + int(sum(z["rows"] for z in new_zones))
     m["gen"] = gen
-    marker = os.path.join(path, _MANIFEST)
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(m, f)
-    os.replace(tmp, marker)
+    write_json(os.path.join(path, _MANIFEST), m)
     return m
 
 
@@ -279,15 +251,11 @@ def compact_sorted(path: str, num_partitions: int | None = None) -> dict:
 
 
 def load_manifest(path: str) -> dict:
-    mp = os.path.join(path, _MANIFEST)
-    if not os.path.exists(mp):
-        raise FileNotFoundError(
-            f"{path} has no {_MANIFEST} commit marker — the sorted layout "
-            "is unfinished or not a sorted layout; rewrite it with "
-            "write_sorted before scanning it"
-        )
-    with open(mp) as f:
-        return json.load(f)
+    return read_manifest(
+        os.path.join(path, _MANIFEST),
+        "the sorted layout is unfinished or not a sorted layout; "
+        "rewrite it with write_sorted before scanning it",
+    )
 
 
 def zone_plan(path: str, lo=None, hi=None) -> list[str]:
@@ -608,11 +576,7 @@ def add_blooms(path: str, bits_per_key: int = 10, k: int = 4) -> dict:
         "k": int(k),
         "files": dict(zip(files, built)),
     }
-    dest = os.path.join(path, _BLOOMS)
-    tmp = dest + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(sidecar, f)
-    os.replace(tmp, dest)
+    write_json(os.path.join(path, _BLOOMS), sidecar)
     return sidecar
 
 

@@ -38,7 +38,6 @@ rank here — use the 1-D sorted layout for those.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -49,6 +48,8 @@ import pyarrow.parquet as papq
 
 import ray
 import ray.data as rd
+
+from pynomaly_ray.state.commit import atomic_write, read_manifest, write_json
 
 _MANIFEST = "_zorder.json"
 _Z_COL = "__pnr_zvalue__"
@@ -199,10 +200,10 @@ def _cluster_and_write(
                     "schema_hex": None}
         t = t.drop_columns([_Z_COL])
         sch_hex = t.schema.serialize().to_pybytes().hex()
-        dest = os.path.join(path, name_tmpl.format(i=i) + ".parquet")
-        tmp = dest + ".tmp"
-        papq.write_table(t, tmp)
-        os.replace(tmp, dest)
+        dest = atomic_write(
+            os.path.join(path, name_tmpl.format(i=i) + ".parquet"),
+            lambda f: papq.write_table(t, f),
+        )
         boxes, nulls = [], 0
         for k, kind in zip(keys, kinds):
             col = t[k]
@@ -284,23 +285,16 @@ def write_zorder(
         ],
         "schema_hex": zones[0]["schema_hex"],
     }
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, marker)  # commit marker
+    write_json(marker, manifest)  # commit marker
     return manifest
 
 
 def load_manifest(path: str) -> dict:
-    mp = os.path.join(path, _MANIFEST)
-    if not os.path.exists(mp):
-        raise FileNotFoundError(
-            f"{path} has no {_MANIFEST} commit marker — the z-order layout "
-            "is unfinished or not a z-order layout; rewrite it with "
-            "write_zorder before scanning it"
-        )
-    with open(mp) as f:
-        return json.load(f)
+    return read_manifest(
+        os.path.join(path, _MANIFEST),
+        "the z-order layout is unfinished or not a z-order layout; "
+        "rewrite it with write_zorder before scanning it",
+    )
 
 
 def append_zorder(ds, path: str, num_partitions: int | None = None) -> dict:
@@ -335,10 +329,7 @@ def append_zorder(ds, path: str, num_partitions: int | None = None) -> dict:
             for z in zones
         ],
     )
-    tmp = os.path.join(path, _MANIFEST + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, os.path.join(path, _MANIFEST))
+    write_json(os.path.join(path, _MANIFEST), manifest)
     return manifest
 
 

@@ -35,6 +35,14 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pynomaly_ray.sources.parquet import parquet_files
+from pynomaly_ray.state.commit import (
+    committed,
+    mark_committed,
+    publish_dir,
+    write_json,
+)
+
 _MERSENNE = (1 << 61) - 1
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -468,37 +476,58 @@ def bucket_candidate_pairs_new_only(df: pd.DataFrame) -> pd.DataFrame:
     return pairs[~both_prior].reset_index(drop=True)
 
 
-def _committed_band_dirs(state_dir: str, run_id: str) -> list[str]:
-    """Band-table dirs of COMMITTED prior runs (marker written after the
-    run's pairs are fully computed — a crashed run's bands must not
-    suppress re-emission of pairs it never delivered)."""
+def _committed_state_dirs(
+    state_dir: str, table: str, run_id: str | None = None
+) -> list[str]:
+    """Dirs of the COMMITTED runs of an incremental state table
+    (``bands`` for MinHash, ``hashes`` for exact), in sorted run order,
+    ``run_id`` excluded.  The marker is written after the run's pairs
+    are delivered — a crashed run's state must not suppress
+    re-emission of pairs it never delivered."""
     import os
 
-    root = os.path.join(state_dir, "bands")
-    if not os.path.isdir(root):
-        return []
+    root = os.path.join(state_dir, table)
     return [
         os.path.join(root, d)
-        for d in sorted(os.listdir(root))
-        if d != run_id
-        and os.path.isdir(os.path.join(root, d))
-        and os.path.exists(os.path.join(root, ".commit-" + d))
+        for d in sorted(committed(root) - {run_id})
+        if os.path.isdir(os.path.join(root, d))
     ]
 
 
-def commit_minhash_state(state_dir: str, run_id: str) -> None:
-    """Mark ``run_id``'s band table as committed.  MUST be called only
-    after the run's pairs are DURABLY persisted (written to their sink),
-    never merely computed: once committed, later runs treat the run's
-    docs as prior and suppress pairs among them — a marker written
-    before the sink write would make a crash between the two silently
-    and permanently lose those pairs."""
+def commit_run_state(state_dir: str, run_id: str, table: str = "bands") -> None:
+    """Mark ``run_id``'s state table (``bands`` for MinHash, ``hashes``
+    for exact) as committed.  MUST be called only after the run's pairs
+    are DURABLY persisted (written to their sink), never merely
+    computed: once committed, later runs treat the run's docs as prior
+    and suppress pairs among them — a marker written before the sink
+    write would make a crash between the two silently and permanently
+    lose those pairs."""
     import os
 
-    with open(
-        os.path.join(state_dir, "bands", ".commit-" + run_id), "w"
-    ) as f:
-        f.write("committed\n")
+    mark_committed(os.path.join(state_dir, table), run_id)
+
+
+def _publish_compacted(state_dir: str, table: str, dirs, write) -> str:
+    """The crash ordering both compactions share: ``write(tmp)`` builds
+    the merged dir, which is published under the next ``compact-NNNN``
+    name, committed, and only then are the source ``dirs`` removed."""
+    import os
+    import shutil
+
+    root = os.path.join(state_dir, table)
+    # next index scans ALL compact-* dirs (committed or not) so a
+    # crashed, uncommitted compaction attempt never collides
+    taken = [
+        int(d.split("-", 1)[1])
+        for d in os.listdir(root)
+        if d.startswith("compact-") and d.split("-", 1)[1].isdigit()
+    ]
+    cname = f"compact-{(max(taken) + 1 if taken else 1):04d}"
+    publish_dir(os.path.join(root, cname), write)
+    mark_committed(root, cname)
+    for d in dirs:
+        shutil.rmtree(d, ignore_errors=True)
+    return cname
 
 
 def compact_minhash_state(state_dir: str) -> dict:
@@ -511,7 +540,7 @@ def compact_minhash_state(state_dir: str) -> dict:
 
     1. the merged table is written to a hidden temp dir, then renamed
        into place (a crash leaves only an uncommitted — ignored — dir);
-    2. the compacted run's ``.commit-`` marker is written (from here the
+    2. the compacted run's commit marker is written (from here the
        merged state is authoritative);
     3. only then are the source runs' band DIRS removed.  A crash inside
        step 3 leaves band rows duplicated between the compacted and
@@ -519,7 +548,7 @@ def compact_minhash_state(state_dir: str) -> dict:
        (band, doc) rows (:func:`bucket_candidate_pairs`) and prior-prior
        pairs are suppressed regardless; re-running compaction converges.
 
-    The source runs' ``.commit-<run>`` MARKERS are deliberately KEPT
+    The source runs' commit MARKERS are deliberately KEPT
     (only their dirs go): a marker means "this run's pairs were durably
     delivered", which stays true after its bands fold into the compacted
     dir — and the CLI ``--keep-list`` path trusts ``pairs/<run>/`` dirs
@@ -531,48 +560,23 @@ def compact_minhash_state(state_dir: str) -> dict:
     summary dict (``compacted_runs``, ``target``).
     """
     import os
-    import shutil
 
     from pynomaly_ray.sources.parquet import read_parquet_clean
 
-    root = os.path.join(state_dir, "bands")
-    committed = (
-        [
-            d
-            for d in sorted(os.listdir(root))
-            if os.path.isdir(os.path.join(root, d))
-            and os.path.exists(os.path.join(root, ".commit-" + d))
-        ]
-        if os.path.isdir(root)
-        else []
-    )
-    if len(committed) <= 1:
+    dirs = _committed_state_dirs(state_dir, "bands")
+    if len(dirs) <= 1:
         return {
             "compacted_runs": 0,
-            "target": committed[0] if committed else None,
+            "target": os.path.basename(dirs[0]) if dirs else None,
         }
-    # next index scans ALL compact-* dirs (committed or not) so a
-    # crashed, uncommitted compaction attempt never collides
-    taken = [
-        int(d.split("-", 1)[1])
-        for d in os.listdir(root)
-        if d.startswith("compact-") and d.split("-", 1)[1].isdigit()
-    ]
-    cname = f"compact-{(max(taken) + 1 if taken else 1):04d}"
-    files = [
-        os.path.join(root, d, f)
-        for d in committed
-        for f in sorted(os.listdir(os.path.join(root, d)))
-        if f.endswith(".parquet")
-    ]
-    tmp = os.path.join(root, ".tmp-" + cname)
-    shutil.rmtree(tmp, ignore_errors=True)
-    read_parquet_clean(files).write_parquet(tmp)
-    os.rename(tmp, os.path.join(root, cname))
-    commit_minhash_state(state_dir, cname)
-    for d in committed:
-        shutil.rmtree(os.path.join(root, d), ignore_errors=True)
-    return {"compacted_runs": len(committed), "target": cname}
+    files = parquet_files(*dirs)
+    cname = _publish_compacted(
+        state_dir,
+        "bands",
+        dirs,
+        lambda tmp: read_parquet_clean(files).write_parquet(tmp),
+    )
+    return {"compacted_runs": len(dirs), "target": cname}
 
 
 def _check_minhash_params(
@@ -608,15 +612,9 @@ def _check_minhash_params(
             )
         if set(params) - set(prior):
             prior.update(params)
-            tmp = path + ".tmp"
-            with open(tmp, "w") as f:
-                json.dump(prior, f)
-            os.replace(tmp, path)
+            write_json(path, prior)
     else:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(params, f)
-        os.replace(tmp, path)
+        write_json(path, params)
 
 
 def minhash_lsh_duplicates_incremental(
@@ -663,7 +661,7 @@ def minhash_lsh_duplicates_incremental(
     ``commit=True`` writes the marker as the last step — correct when
     the returned pairs ARE the delivery (library use).  A caller that
     persists the pairs itself (the CLI writing parquet) must pass
-    ``commit=False`` and call :func:`commit_minhash_state` AFTER its
+    ``commit=False`` and call :func:`commit_run_state` AFTER its
     sink write, else a crash between marker and sink permanently
     suppresses the run's pairs.
     """
@@ -698,14 +696,9 @@ def minhash_lsh_duplicates_incremental(
     docs_ds = docs_ds.map_batches(
         lambda t: t.filter(pc.is_valid(t["doc_id"])), batch_format="pyarrow"
     )
-    prior_dirs = _committed_band_dirs(state_dir, run_id)
+    prior_dirs = _committed_state_dirs(state_dir, "bands", run_id)
     # a list of DIRECTORIES doesn't ride read_parquet; expand to files
-    prior_files = [
-        os.path.join(d, f)
-        for d in prior_dirs
-        for f in sorted(os.listdir(d))
-        if f.endswith(".parquet")
-    ]
+    prior_files = parquet_files(*prior_dirs)
     new_docs = docs_ds
     prior_bands = None
     if prior_files:
@@ -743,7 +736,7 @@ def minhash_lsh_duplicates_incremental(
     if commit:
         if as_dataset:
             out = out.materialize()  # pairs computed before the marker
-        commit_minhash_state(state_dir, run_id)
+        commit_run_state(state_dir, run_id)
     return out
 
 
@@ -836,25 +829,6 @@ def exact_duplicates_by_content(docs_ds):
     return hash_aggregate(partials, ["content_hash"], merge)
 
 
-def _committed_hash_dirs(state_dir: str, run_id: str) -> list[str]:
-    """Hash-table dirs of COMMITTED prior exact-dedup runs, in run
-    order (sorted dir name = arrival order, the first-crawl-wins tie
-    rank).  Same crash contract as the MinHash band state: an
-    uncommitted run's hashes must not suppress re-emission."""
-    import os
-
-    root = os.path.join(state_dir, "hashes")
-    if not os.path.isdir(root):
-        return []
-    return [
-        os.path.join(root, d)
-        for d in sorted(os.listdir(root))
-        if d != run_id
-        and os.path.isdir(os.path.join(root, d))
-        and os.path.exists(os.path.join(root, ".commit-" + d))
-    ]
-
-
 def _dir_rank(d: str, fallback: int) -> int:
     """First-seen rank of a state run dir: ``rank.txt`` (written with
     the run), else the dir's sorted position (pre-rank state dirs)."""
@@ -884,42 +858,19 @@ def compact_exact_state(state_dir: str) -> dict:
     rank stays strictly above every persisted one.
     """
     import os
-    import shutil
 
     from pynomaly_ray.sources.parquet import read_parquet_clean
 
-    root = os.path.join(state_dir, "hashes")
-    committed = (
-        [
-            d
-            for d in sorted(os.listdir(root))
-            if os.path.isdir(os.path.join(root, d))
-            and os.path.exists(os.path.join(root, ".commit-" + d))
-        ]
-        if os.path.isdir(root)
-        else []
-    )
-    if len(committed) <= 1:
+    dirs = _committed_state_dirs(state_dir, "hashes")
+    if len(dirs) <= 1:
         return {
             "compacted_runs": 0,
-            "target": committed[0] if committed else None,
+            "target": os.path.basename(dirs[0]) if dirs else None,
         }
-    taken = [
-        int(d.split("-", 1)[1])
-        for d in os.listdir(root)
-        if d.startswith("compact-") and d.split("-", 1)[1].isdigit()
-    ]
-    cname = f"compact-{(max(taken) + 1 if taken else 1):04d}"
-    ranks = [
-        _dir_rank(os.path.join(root, d), i) for i, d in enumerate(committed)
-    ]
+    ranks = [_dir_rank(d, i) for i, d in enumerate(dirs)]
     parts = []
-    for rank, d in zip(ranks, committed):
-        files = [
-            os.path.join(root, d, f)
-            for f in sorted(os.listdir(os.path.join(root, d)))
-            if f.endswith(".parquet")
-        ]
+    for rank, d in zip(ranks, dirs):
+        files = parquet_files(d)
         if not files:
             continue
         part = read_parquet_clean(files)
@@ -937,27 +888,15 @@ def compact_exact_state(state_dir: str) -> dict:
     merged = parts[0]
     for p in parts[1:]:
         merged = merged.union(p)
-    tmp = os.path.join(root, ".tmp-" + cname)
-    shutil.rmtree(tmp, ignore_errors=True)
-    merged.write_parquet(tmp)
-    with open(os.path.join(tmp, "rank.txt"), "w") as f:
-        f.write(str(max(ranks)))
-    os.rename(tmp, os.path.join(root, cname))
-    commit_exact_state(state_dir, cname)
-    for d in committed:
-        shutil.rmtree(os.path.join(root, d), ignore_errors=True)
-    return {"compacted_runs": len(committed), "target": cname}
 
+    def write(tmp: str) -> None:
+        merged.write_parquet(tmp)
+        os.makedirs(tmp, exist_ok=True)
+        with open(os.path.join(tmp, "rank.txt"), "w") as f:
+            f.write(str(max(ranks)))
 
-def commit_exact_state(state_dir: str, run_id: str) -> None:
-    """Mark ``run_id``'s hash table committed — call AFTER its pair
-    output is durably persisted (see :func:`commit_minhash_state`)."""
-    import os
-
-    with open(
-        os.path.join(state_dir, "hashes", ".commit-" + run_id), "w"
-    ) as f:
-        f.write("committed\n")
+    cname = _publish_compacted(state_dir, "hashes", dirs, write)
+    return {"compacted_runs": len(dirs), "target": cname}
 
 
 def exact_duplicates_incremental(
@@ -1010,7 +949,7 @@ def exact_duplicates_incremental(
     docs_ds = docs_ds.map_batches(
         lambda t: t.filter(pc.is_valid(t["doc_id"])), batch_format="pyarrow"
     )
-    prior_dirs = _committed_hash_dirs(state_dir, run_id)
+    prior_dirs = _committed_state_dirs(state_dir, "hashes", run_id)
     # first-seen rank is PERSISTED per run (rank.txt; compacted dirs
     # carry it per-row as an ``rnk`` column instead) — dir order alone
     # would be destroyed by compaction, silently re-electing keepers
@@ -1021,11 +960,7 @@ def exact_duplicates_incremental(
     new_docs = docs_ds
     prior_parts = []
     for rank, d in zip(ranks, prior_dirs):
-        files = [
-            os.path.join(d, f)
-            for f in sorted(os.listdir(d))
-            if f.endswith(".parquet")
-        ]
+        files = parquet_files(d)
         if not files:
             continue
         part = read_parquet_clean(files)
@@ -1105,7 +1040,7 @@ def exact_duplicates_incremental(
         )
     pairs = pairs.sort_values(["doc_keep", "doc_dup"]).reset_index(drop=True)
     if commit:
-        commit_exact_state(state_dir, run_id)
+        commit_run_state(state_dir, run_id, "hashes")
     return pairs
 
 

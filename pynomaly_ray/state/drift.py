@@ -25,6 +25,7 @@ import pandas as pd
 import ray
 
 from pynomaly_ray.loop_core import LocalOutlierProbability
+from pynomaly_ray.state.commit import atomic_write
 
 
 @dataclass
@@ -137,24 +138,23 @@ def save_frozen_model(model: FrozenLoopModel, path: str) -> str:
     d = os.path.dirname(path)
     if d:
         os.makedirs(d, exist_ok=True)
-    tmp = path + ".tmp"
-    np.savez_compressed(
-        tmp,
-        points=model.points,
-        feat_mean=model.feat_mean,
-        feat_scale=model.feat_scale,
-        scalars=np.array(
-            [
-                model.prob_distances_ev_mean,
-                model.norm_plof,
-                float(model.n_neighbors),
-                float(model.extent),
-            ]
+    return atomic_write(
+        path,
+        lambda f: np.savez_compressed(
+            f,
+            points=model.points,
+            feat_mean=model.feat_mean,
+            feat_scale=model.feat_scale,
+            scalars=np.array(
+                [
+                    model.prob_distances_ev_mean,
+                    model.norm_plof,
+                    float(model.n_neighbors),
+                    float(model.extent),
+                ]
+            ),
         ),
     )
-    # numpy appends .npz to the tmp name
-    os.replace(tmp + ".npz", path)
-    return path
 
 
 def load_frozen_model(path: str) -> FrozenLoopModel:

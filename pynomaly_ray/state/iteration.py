@@ -8,7 +8,7 @@ module gives any driver-looped iteration the same contract the layouts
 use:
 
 - each round's state lands as ``round-<i>/part-*.parquet`` plus a
-  ``.commit-<i>`` marker written LAST (a crashed round leaves an
+  commit marker for round ``<i>`` written LAST (a crashed round leaves an
   uncommitted directory scans never read, overwritten by the retry —
   deterministic file names within a round);
 - resume loads the HIGHEST committed round and continues from it;
@@ -32,23 +32,15 @@ import pyarrow.parquet as papq
 import ray
 import ray.data as rd
 
+from pynomaly_ray.state.commit import atomic_write, committed, mark_committed
+
 
 def _round_dir(state_dir: str, i: int) -> str:
     return os.path.join(state_dir, f"round-{i:05d}")
 
 
-def _marker(state_dir: str, i: int) -> str:
-    return os.path.join(state_dir, f".commit-{i:05d}")
-
-
 def committed_rounds(state_dir: str) -> list[int]:
-    if not os.path.isdir(state_dir):
-        return []
-    out = []
-    for f in os.listdir(state_dir):
-        if f.startswith(".commit-"):
-            out.append(int(f[len(".commit-"):]))
-    return sorted(out)
+    return sorted(int(name) for name in committed(state_dir))
 
 
 def save_round(state_dir: str, i: int, ds) -> None:
@@ -64,20 +56,19 @@ def save_round(state_dir: str, i: int, ds) -> None:
     def _write(t: pa.Table, b: int) -> int:
         if t.num_rows == 0:
             return 0
-        tmp = os.path.join(d, f"part-{b:05d}.parquet.tmp")
-        papq.write_table(t.replace_schema_metadata(None), tmp)
-        os.replace(tmp, tmp[: -len(".tmp")])
+        atomic_write(
+            os.path.join(d, f"part-{b:05d}.parquet"),
+            lambda f: papq.write_table(t.replace_schema_metadata(None), f),
+        )
         return t.num_rows
 
     ray.get([_write.remote(r, b) for b, r in enumerate(refs)])
-    with open(_marker(state_dir, i) + ".tmp", "w") as f:
-        f.write("ok")
-    os.replace(_marker(state_dir, i) + ".tmp", _marker(state_dir, i))
+    mark_committed(state_dir, f"{i:05d}")
 
 
 def load_round(state_dir: str, i: int):
     """The committed round's state as a Dataset (refuses uncommitted)."""
-    if not os.path.exists(_marker(state_dir, i)):
+    if f"{i:05d}" not in committed(state_dir):
         raise FileNotFoundError(
             f"round {i} has no commit marker under {state_dir}; it was "
             "never completed — resume from committed_rounds() instead"

@@ -39,6 +39,8 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from pynomaly_ray.state.commit import atomic_write
+
 # Written snapshots carry an explicit "seq-" prefix so a run_id that
 # happens to START with digits-dash (e.g. "202608-night") can never be
 # misparsed as a sequenced file and win last-per-partition merges with a
@@ -91,7 +93,7 @@ def committed_run_ids(out_dir: str) -> frozenset[str]:
 def write_manifest_snapshot(
     out_dir: str, report: pa.Table, run_id: str
 ) -> str:
-    """Write one atomic manifest snapshot (tmp + rename) for this run,
+    """Write one atomic manifest snapshot for this run,
     under the next sequence number — later snapshots always win the
     last-per-partition merge regardless of run_id naming.  The
     read-assign-write of the sequence number is serialized by a lock
@@ -115,7 +117,6 @@ def write_manifest_snapshot(
         existing = _snapshots(d)
         seq = (existing[-1][0] + 1) if existing else 0
         final = os.path.join(d, f"seq-{max(seq, 0):06d}-{run_id}.parquet")
-        tmp = final + ".tmp"
         cols = [
             "partition_id",
             "source",
@@ -124,8 +125,7 @@ def write_manifest_snapshot(
             "loop_score",
             "status",
         ]
-        pq.write_table(report.select(cols), tmp)
-        os.replace(tmp, final)
+        atomic_write(final, lambda f: pq.write_table(report.select(cols), f))
     finally:
         os.close(lock_fd)
     return final

@@ -39,7 +39,6 @@ bounded by key cardinality, not data volume.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 
@@ -50,6 +49,9 @@ import pyarrow.parquet as papq
 
 import ray
 import ray.data as rd
+
+from pynomaly_ray.sources.parquet import parquet_files
+from pynomaly_ray.state.commit import atomic_write, read_manifest, write_json
 
 _MANIFEST = "_matview.json"
 _MERGEABLE = {"sum", "count", "min", "max", "hll", "kll", "mg"}
@@ -280,29 +282,17 @@ def _write_generation(path: str, gen: int, state_ds) -> int:
             continue
         t = t.replace_schema_metadata(None)
         dest = os.path.join(gen_dir, f"part-{i:05d}.parquet")
-        tmp = dest + ".tmp"
-        papq.write_table(t, tmp)
-        os.replace(tmp, dest)
+        atomic_write(dest, lambda f, t=t: papq.write_table(t, f))
         rows += t.num_rows
     return rows
 
 
-def _commit(path: str, manifest: dict) -> None:
-    tmp = os.path.join(path, _MANIFEST + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, os.path.join(path, _MANIFEST))
-
-
 def load_manifest(path: str) -> dict:
-    mp = os.path.join(path, _MANIFEST)
-    if not os.path.exists(mp):
-        raise FileNotFoundError(
-            f"{path} has no {_MANIFEST} commit marker — the view is "
-            "unfinished or not a matview; re-create it with create_matview"
-        )
-    with open(mp) as f:
-        return json.load(f)
+    return read_manifest(
+        os.path.join(path, _MANIFEST),
+        "the view is unfinished or not a matview; re-create it with "
+        "create_matview",
+    )
 
 
 def create_matview(
@@ -328,7 +318,7 @@ def create_matview(
         "rows": rows,
         "applied_run_ids": [run_id],
     }
-    _commit(path, manifest)
+    write_json(os.path.join(path, _MANIFEST), manifest)  # commit
     return manifest
 
 
@@ -358,7 +348,7 @@ def refresh_matview(path: str, delta_ds, run_id: str) -> dict:
         rows=rows,
         applied_run_ids=m["applied_run_ids"] + [run_id],
     )
-    _commit(path, manifest)
+    write_json(os.path.join(path, _MANIFEST), manifest)  # commit
     shutil.rmtree(
         os.path.join(path, f"gen-{old_gen:06d}"), ignore_errors=True
     )
@@ -437,7 +427,7 @@ def retract_matview(path: str, delta_ds, run_id: str) -> dict:
         rows=rows,
         applied_run_ids=m["applied_run_ids"] + [run_id],
     )
-    _commit(path, manifest)
+    write_json(os.path.join(path, _MANIFEST), manifest)  # commit
     shutil.rmtree(
         os.path.join(path, f"gen-{old_gen:06d}"), ignore_errors=True
     )
@@ -457,11 +447,7 @@ def read_matview(path: str):
     """The committed state as a Dataset (O(#keys) rows)."""
     m = load_manifest(path)
     gen_dir = os.path.join(path, f"gen-{m['gen']:06d}")
-    files = sorted(
-        os.path.join(gen_dir, f)
-        for f in os.listdir(gen_dir)
-        if f.endswith(".parquet")
-    )
+    files = parquet_files(gen_dir)
     if not files:
         return rd.from_arrow(pa.table({k: pa.array([]) for k in m["keys"]}))
     return rd.read_parquet(files)

@@ -1151,14 +1151,14 @@ def test_cli_dedup_minhash_incremental_state(ray_session, tmp_path):
 def test_minhash_incremental_commit_separation(ray_session, tmp_path):
     """commit=False leaves the run untrusted (no marker) so a crash
     before the caller's durable pair write cannot suppress pairs; the
-    explicit commit_minhash_state marks it afterwards.  A params
+    explicit commit_run_state marks it afterwards.  A params
     mismatch against pinned state raises."""
     import os
 
     import ray.data as rd
 
     from pynomaly_ray.stages.dedup import (
-        commit_minhash_state,
+        commit_run_state,
         minhash_lsh_duplicates_incremental,
     )
 
@@ -1169,7 +1169,7 @@ def test_minhash_incremental_commit_separation(ray_session, tmp_path):
     )
     assert not os.path.exists(os.path.join(state, "bands", ".commit-r1"))
     assert os.path.isdir(os.path.join(state, "bands", "r1"))  # bands written
-    commit_minhash_state(state, "r1")
+    commit_run_state(state, "r1")
     assert os.path.exists(os.path.join(state, "bands", ".commit-r1"))
 
     with pytest.raises(ValueError, match="incompatible band tables"):
