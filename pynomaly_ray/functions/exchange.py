@@ -441,8 +441,8 @@ def hash_anti_join(
 # Below this many right-side keys, shipping the whole key set into every
 # filter task is cheaper than exchanging the (fat) left side; above it
 # the broadcast itself becomes the bottleneck (~10^6 keys = ~tens of MB
-# re-shipped per task) and the partitioned anti-join takes over.  Same
-# switch write_validated_output uses for violating-id exclusion.
+# re-shipped per task) and the partitioned anti-join takes over.  The
+# validated-rows sink excludes violating ids through this same switch.
 _BROADCAST_ANTI_CAP_DEFAULT = 1_000_000
 
 

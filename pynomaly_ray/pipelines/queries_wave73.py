@@ -34,7 +34,10 @@ from pynomaly_ray.pipelines.queries import ORACLE_QUERIES, _pq
 
 def q_exact_dedup_incremental(sf_dir: str):
     from pynomaly_ray.pipelines.engine_queries import _surface_dir
-    from pynomaly_ray.stages.dedup import exact_duplicates_incremental
+    from pynomaly_ray.stages.dedup import (
+        commit_run_state,
+        exact_duplicates_incremental,
+    )
 
     def _docs(even_only: bool = False):
         def conv(t: pa.Table) -> pa.Table:
@@ -54,9 +57,13 @@ def q_exact_dedup_incremental(sf_dir: str):
         )
 
     state = _surface_dir("exact_inc_state")
-    p1 = exact_duplicates_incremental(_docs(even_only=True), state, "run1")
-    p2 = exact_duplicates_incremental(_docs(), state, "run2")
-    both = pd.concat([p1, p2], ignore_index=True)
+    runs = []
+    for run_id, docs in (("run1", _docs(even_only=True)), ("run2", _docs())):
+        runs.append(exact_duplicates_incremental(docs, state, run_id))
+        # sink-then-commit: the run's pairs are this query's output, so
+        # its hash state commits only once they are in hand
+        commit_run_state(state, run_id, table="hashes")
+    both = pd.concat(runs, ignore_index=True)
     # disjointness invariant: run 1 emits even dups, run 2 odd dups —
     # a doc_dup appearing twice means the anti-join re-processed a
     # committed doc (raise rather than return wrong rows)

@@ -20,7 +20,8 @@ vectorized pandas on the driver — zero extra Ray executions.  Above the
 threshold (true 10^12-row runs, where the doc_id pre-aggregates alone
 are large) the same reductions run distributed via ``hash_aggregate``
 (an explicit hash-partitioned exchange, functions/exchange.py).  Both
-paths produce byte-identical outputs; tests force each.
+paths produce byte-identical outputs; tests force the distributed one
+with ``driver_collect_bytes=0``.
 """
 
 from __future__ import annotations
@@ -40,22 +41,22 @@ import ray
 import ray.data as rd
 
 from pynomaly_ray.config import (
-    PARTIAL_STATS_SCHEMA,
     PARTITION_REPORT_SCHEMA,
     SEQUENCE_SCHEMA,
     VIOLATION_SCHEMA,
     ValidationConfig,
 )
-from pynomaly_ray.functions.exchange import hash_aggregate
+from pynomaly_ray.functions.exchange import anti_membership, hash_aggregate
 from pynomaly_ray.functions.hashing import digest_floats
-from pynomaly_ray.sources.parquet import parquet_files
+from pynomaly_ray.sources.parquet import parquet_files, read_parquet_clean
 from pynomaly_ray.stages.stats import finalize_stat_vector, merge_partials_df
 from pynomaly_ray.stages.uniqueness import (
+    bulk_emit_violations,
     duplicates_from_docparts,
-    emit_duplicate_violations,
+    hash_candidate_mask,
 )
 from pynomaly_ray.stages.validate import SequenceValidator, split_union
-from pynomaly_ray.state.commit import atomic_write
+from pynomaly_ray.state.commit import atomic_write, publish_dir
 from pynomaly_ray.state.drift import fit_drift_scores
 from pynomaly_ray.state.manifest import (
     completed_partitions,
@@ -115,44 +116,30 @@ def _empty_df(cols) -> pd.DataFrame:
 def _local_duplicates(
     docparts: pa.Table, prior: Optional[pa.Table]
 ) -> pd.DataFrame:
-    """Driver-local uniqueness reduction (same semantics as
-    stages/uniqueness.duplicates_from_docparts).
+    """Driver-local uniqueness reduction: the distributed path's bucket
+    reducer (stages/uniqueness.bulk_emit_violations) run once over the
+    whole occurrence set.
 
     Counting runs over the int64 ``doc_hash`` column (numpy unique — C
     speed, no string conversion of the full key space); only hash-level
-    candidates (vanishingly rare) are converted to pandas and verified
-    against the exact doc_id strings, which also guards against hash
-    collisions."""
-    n_cur = docparts.num_rows
+    candidates (vanishingly rare) are converted to pandas, and the
+    reducer verifies them against the exact doc_id strings, which also
+    guards against hash collisions."""
+    parts = [docparts.select(_DOCPART_COLS)]
     if prior is not None and prior.num_rows:
-        union = pa.concat_tables(
-            [docparts.select(_DOCPART_COLS), prior.select(_DOCPART_COLS)]
-        )
-    else:
-        union = docparts.select(_DOCPART_COLS)
-    if union.num_rows == 0:
-        return _empty_df(_VIOL_COLS)
-    from pynomaly_ray.stages.uniqueness import hash_candidate_mask
-
+        parts.append(prior.select(_DOCPART_COLS))
+    union = pa.concat_tables(parts)
     cand_mask = hash_candidate_mask(
         union["doc_hash"].to_numpy(zero_copy_only=False),
         union["cnt"].to_numpy(zero_copy_only=False).astype(np.int64),
     )
     if not cand_mask.any():
         return _empty_df(_VIOL_COLS)
-    dups = union.filter(pa.array(cand_mask)).to_pandas()
+    cands = union.filter(pa.array(cand_mask)).to_pandas()
     is_prior = np.zeros(union.num_rows, dtype=np.int64)
-    is_prior[n_cur:] = 1
-    dups["is_prior"] = is_prior[cand_mask]
-    totals_by_doc = dups.groupby("doc_id", sort=False)["cnt"].sum()
-    real = set(totals_by_doc[totals_by_doc > 1].index)
-    dups = dups[dups["doc_id"].isin(real)]
-    if not len(dups):
-        return _empty_df(_VIOL_COLS)
-    frames = [
-        emit_duplicate_violations(g) for _, g in dups.groupby("doc_id", sort=True)
-    ]
-    return pd.concat(frames, ignore_index=True)
+    is_prior[docparts.num_rows:] = 1
+    cands["is_prior"] = is_prior[cand_mask]
+    return bulk_emit_violations(cands)
 
 
 def _prior_docpart_dirs(out_dir: str, run_id: str, resume: bool) -> list[str]:
@@ -258,8 +245,6 @@ def _post_scan_distributed(tagged, cfg, out_dir, resume):
         shutil.rmtree(dp_dir, ignore_errors=True)
         docparts_ds.write_parquet(dp_dir)
         if prior_dirs:
-            from pynomaly_ray.sources.parquet import read_parquet_clean
-
             prior_docparts = read_parquet_clean(prior_dirs)
 
     dup_ds = duplicates_from_docparts(docparts_ds, prior_docparts)
@@ -326,7 +311,6 @@ def run_validation(
     out_dir: Optional[str] = None,
     resume: bool = True,
     collect_violations: bool = True,
-    force_distributed: bool = False,
     frozen_model=None,
 ) -> ValidationResult:
     """Run the full validation pipeline over a sequence Dataset.
@@ -337,18 +321,6 @@ def run_validation(
     with ``resume=True`` skips partitions already in the manifest while
     still detecting duplicates that span completed and new partitions.
     """
-    import sys as _sys
-    import time as _time
-
-    _phases: list[tuple[str, float]] = []
-    _t = _time.perf_counter()
-
-    def _mark(name: str) -> None:
-        nonlocal _t
-        now = _time.perf_counter()
-        _phases.append((name, now - _t))
-        _t = now
-
     if out_dir:
         from pynomaly_ray.state.manifest import committed_run_ids
 
@@ -393,7 +365,7 @@ def run_validation(
     # runs as stateless tasks: parallelism tracks CPUs instantly with no
     # actor-pool ramp-up.  A stage with EXPENSIVE state (model, index)
     # should instead pass the class + fn_constructor_kwargs (actor pool),
-    # as Tokenizer / StreamDriftScorer / ImageFeatures do.
+    # as Tokenizer / ImageFeatures do.
     validator = SequenceValidator(
         valid_sources=cfg.valid_sources,
         vocab_size=cfg.vocab_size,
@@ -404,21 +376,15 @@ def run_validation(
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
     ).materialize()
-    _mark("stage_a")
-    if os.environ.get("PNR_STATS"):  # Ray Data per-operator stats dump
-        print(tagged.stats(), file=_sys.stderr)
 
     # ---- Stage B: size-adaptive reduction of the tagged stream ----
-    small = (tagged.size_bytes() or 0) <= cfg.driver_collect_bytes
-    if small and not force_distributed:
-        viol_df, stats_df, dist_vcounts, wrote_viol = _post_scan_local(
-            tagged, cfg, out_dir, resume
-        )
+    if (tagged.size_bytes() or 0) <= cfg.driver_collect_bytes:
+        post_scan = _post_scan_local
     else:
-        viol_df, stats_df, dist_vcounts, wrote_viol = _post_scan_distributed(
-            tagged, cfg, out_dir, resume
-        )
-    _mark("stage_b")
+        post_scan = _post_scan_distributed
+    viol_df, stats_df, dist_vcounts, wrote_viol = post_scan(
+        tagged, cfg, out_dir, resume
+    )
 
     viol_df = viol_df.sort_values(
         ["partition_id", "doc_id", "check"], kind="mergesort"
@@ -455,62 +421,49 @@ def run_validation(
     extra_parts = sorted(
         set(vcounts.index) - set(stats_df["partition_id"]) - set(done)
     )
-    extra_report = _invalid_only_report(extra_parts, vcounts, cfg.run_id)
+    report = _invalid_only_report(extra_parts, vcounts, cfg.run_id)
+    n_sequences = 0
+    if len(stats_df):
+        # ---- Stage C: exact LoOP drift over the stat table ----
+        fitted = _fitted_report(stats_df, vcounts, cfg, out_dir, frozen_model)
+        report = pa.concat_tables([fitted, report])
+        n_sequences = int(stats_df["n_rows"].sum())
 
-    # ---- Stage C: exact LoOP drift over the stat table ----
-    if len(stats_df) == 0 and not extra_parts:
-        report = PARTITION_REPORT_SCHEMA.empty_table()
-        if out_dir:
-            # Commit this run even though it produced no partitions:
-            # its docparts checkpoint was already written, and an
-            # uncommitted run's docparts are (rightly) distrusted by
-            # _prior_docpart_dirs — without this snapshot, duplicates
-            # spanning this run and a later one would be missed.
-            # duplicates can still be attributed to completed partitions
-            # (e.g. a tolerated first occurrence arriving in this run)
-            final = _commit_run(out_dir, report, vcounts, done, cfg.run_id)
-            report = final if final is not None else report
-        return ValidationResult(
-            report,
-            pa.Table.from_pandas(
-                viol_df, schema=VIOLATION_SCHEMA, preserve_index=False
-            )
-            if collect_violations
-            else VIOLATION_SCHEMA.empty_table(),
-            out_dir,
-            0,
-            skipped,
-            violations_dir=violations_dir,
+    # ---- Stage D: report + manifest ----
+    violations_out = (
+        pa.Table.from_pandas(
+            viol_df, schema=VIOLATION_SCHEMA, preserve_index=False
         )
-
-    if len(stats_df) == 0:
-        # only invalid-row partitions this run: no LoOP fit to run
-        report = extra_report
-        n_sequences = 0
-        _mark("stage_c")
-        _mark("stage_d")
-        violations_out = (
-            pa.Table.from_pandas(
-                viol_df, schema=VIOLATION_SCHEMA, preserve_index=False
-            )
-            if collect_violations
-            else VIOLATION_SCHEMA.empty_table()
-        )
-        if out_dir:
+        if collect_violations
+        else VIOLATION_SCHEMA.empty_table()
+    )
+    if out_dir:
+        if report.num_rows:
             os.makedirs(os.path.join(out_dir, "partitions"), exist_ok=True)
             atomic_write(
                 os.path.join(out_dir, "partitions", f"{cfg.run_id}.parquet"),
                 lambda f: pq.write_table(report, f),
             )
-            final = _commit_run(out_dir, report, vcounts, done, cfg.run_id)
-            return ValidationResult(
-                final, violations_out, out_dir, n_sequences, skipped,
-                violations_dir=violations_dir,
-            )
-        return ValidationResult(
-            report, violations_out, out_dir, n_sequences, skipped
-        )
+        # Committed even with no partitions: its docparts checkpoint was
+        # already written, and an uncommitted run's docparts are (rightly)
+        # distrusted by _prior_docpart_dirs — without this snapshot,
+        # duplicates spanning this run and a later one would be missed.
+        # The returned report covers ALL partitions ever completed for
+        # this out_dir (this run's + resumed-over ones) for the
+        # identical-manifest guarantee.
+        report = _commit_run(out_dir, report, vcounts, done, cfg.run_id)
+    return ValidationResult(
+        report, violations_out, out_dir, n_sequences, skipped,
+        violations_dir=violations_dir,
+    )
 
+
+def _fitted_report(
+    stats_df: pd.DataFrame, vcounts: pd.Series, cfg, out_dir, frozen_model
+) -> pa.Table:
+    """Report rows of the partitions with valid rows: LoOP scores from a
+    fresh fit (its frozen model saved under ``out_dir``) or against
+    ``frozen_model``, and pass/fail from score and violation count."""
     stats_df["stat_vector"] = stats_df.apply(finalize_stat_vector, axis=1)
     if frozen_model is not None:
         # Incremental mode (the reference's stream(), loop.py:993-1046,
@@ -523,7 +476,7 @@ def run_validation(
         scored = StreamDriftScorer(frozen_model)(
             stats_df[["partition_id", "stat_vector"]].copy()
         )
-        scores, frozen = scored["loop_score"].to_numpy(), frozen_model
+        scores = scored["loop_score"].to_numpy()
     else:
         import warnings as _warnings
 
@@ -541,7 +494,6 @@ def run_validation(
             save_frozen_model(
                 frozen, os.path.join(out_dir, "model", f"{cfg.run_id}.npz")
             )
-    _mark("stage_c")
     stats_df["loop_score"] = scores
     stats_df["n_violations"] = (
         stats_df["partition_id"].map(vcounts).fillna(0).astype(np.int64)
@@ -552,8 +504,6 @@ def run_validation(
         "fail",
         "pass",
     )
-
-    # ---- Stage D: report + manifest ----
     lineage = [
         {
             "n_rows": int(r.n_rows),
@@ -562,7 +512,7 @@ def run_validation(
         }
         for r in stats_df.itertuples()
     ]
-    report = pa.table(
+    return pa.table(
         {
             "partition_id": pa.array(stats_df["partition_id"], pa.string()),
             "source": pa.array(stats_df["source"], pa.string()),
@@ -580,39 +530,6 @@ def run_validation(
         },
         schema=PARTITION_REPORT_SCHEMA,
     )
-    if extra_report.num_rows:
-        report = pa.concat_tables([report, extra_report])
-
-    n_sequences = int(stats_df["n_rows"].sum())
-    _mark("stage_d")
-    if os.environ.get("PNR_PHASES"):
-        print(
-            "phases " + " ".join(f"{n}={d:.2f}" for n, d in _phases),
-            file=_sys.stderr,
-        )
-    violations_out = (
-        pa.Table.from_pandas(
-            viol_df, schema=VIOLATION_SCHEMA, preserve_index=False
-        )
-        if collect_violations
-        else VIOLATION_SCHEMA.empty_table()
-    )
-    if out_dir:
-        os.makedirs(os.path.join(out_dir, "partitions"), exist_ok=True)
-        atomic_write(
-            os.path.join(out_dir, "partitions", f"{cfg.run_id}.parquet"),
-            lambda f: pq.write_table(report, f),
-        )
-        final = _commit_run(out_dir, report, vcounts, done, cfg.run_id)
-        # The returned report covers ALL partitions ever completed for
-        # this out_dir (this run's + resumed-over ones) for the
-        # identical-manifest guarantee.
-        return ValidationResult(
-            final, violations_out, out_dir, n_sequences, skipped,
-            violations_dir=violations_dir,
-        )
-
-    return ValidationResult(report, violations_out, out_dir, n_sequences, skipped)
 
 
 def _invalid_only_report(
@@ -648,7 +565,7 @@ def _invalid_only_report(
 
 def _commit_run(
     out_dir: str, report: pa.Table, vcounts: pd.Series, done, run_id: str
-) -> Optional[pa.Table]:
+) -> pa.Table:
     """Commit the run with ONE manifest snapshot; returns the merged
     manifest.  New violations attributed to already-completed partitions
     (e.g. a duplicate whose tolerated first occurrence only appeared in
@@ -668,12 +585,6 @@ def _commit_run(
         report = pa.concat_tables([own, amended.cast(own.schema)])
     write_manifest_snapshot(out_dir, report, run_id)
     return read_full_manifest(out_dir)
-
-
-# broadcast-vs-anti-join switch point: ~10^6 string ids is ~50 MB
-# re-serialized into EVERY filter task; beyond it the partitioned
-# anti-join (1/P of the set per task) wins
-_BAD_IDS_BROADCAST_CAP = 1_000_000
 
 
 def _committed_violation_files(out_dir: str, run_id: str) -> list[str]:
@@ -703,26 +614,25 @@ def write_validated_output(
     ``viol_source``: the violation rows as a pandas DataFrame (driver
     path) OR a parquet directory path — the distributed path for runs
     whose violation volume exceeded the driver cap (use
-    ``ValidationResult.violations_dir``; the rows never reach the
-    driver, only their id column flows through the anti-join exchange).
+    ``ValidationResult.violations_dir``; only its id column is read,
+    and the rows themselves never reach the driver).
     The violations of every other run committed under ``out_dir`` join
     the same id source: a resumed run skips the partitions an earlier
     run validated, but the sink writes them again from ``ds``.
 
-    Layout: ``out_dir/validated/<run_id>/partition_id=<pid>/*.parquet``.
-    Idempotent per run: the run's dest dir is cleared before writing, so
-    a crashed attempt's partial files never mix with the retry's
-    (parquet writes append uuid-named files, they don't overwrite).
-    Requires a second scan of the input: validation-only runs scan once,
-    check+write runs scan twice.
+    Layout: ``out_dir/validated/<run_id>/partition_id=<pid>/*.parquet``,
+    built under a hidden sibling and published with
+    :func:`~pynomaly_ray.state.commit.publish_dir`: a crashed attempt
+    never leaves a partial dataset at that path, and a retry replaces
+    the run's output whole.  Requires a second scan of the input:
+    validation-only runs scan once, check+write runs scan twice.
 
-    Size-adaptive like Stage B: below ``_BAD_IDS_BROADCAST_CAP``
-    violating ids, the id set is broadcast into every filter task
-    (cheapest); above it — a garbage input where most rows violate —
-    the broadcast itself becomes the bottleneck and the filter switches
-    to a hash-partitioned anti-join (each task sees 1/P of the id set,
-    token arrays stay zero-copy Arrow).  Both paths are byte-identical
-    (asserted by test).
+    Rows of violating ids are dropped by
+    :func:`~pynomaly_ray.functions.exchange.anti_membership`, which is
+    size-adaptive like Stage B: a broadcast ``is_in`` filter below its
+    cap of distinct ids, a hash-partitioned anti-join above it (a
+    garbage input where most rows violate).  Both paths are
+    row-identical (asserted by test).
 
     Conservative exclusion note: null doc_ids surface in violation rows
     as the sentinel string ``"<null>"``, so a document literally named
@@ -732,7 +642,7 @@ def write_validated_output(
 
     def drop_null_rows(t: pa.Table) -> pa.Table:
         # null doc_id rows can't be matched by id; null tokens are not
-        # valid output — both dropped in either path
+        # valid output
         ok = pc.and_(pc.is_valid(t["doc_id"]), pc.is_valid(t["tokens"]))
         return t.filter(ok)
 
@@ -740,45 +650,23 @@ def write_validated_output(
         drop_null_rows, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    from pynomaly_ray.functions.exchange import hash_anti_join
-
     prior = _committed_violation_files(out_dir, run_id)
     if isinstance(viol_source, str):
-        # distributed violations: their ids flow straight into the
-        # anti-join exchange, never onto the driver
-        from pynomaly_ray.sources.parquet import read_parquet_clean
-
         bad_ds = read_parquet_clean(
             parquet_files(viol_source) + prior, columns=["doc_id"]
         )
-        valid = hash_anti_join(clean, bad_ds, "doc_id")
     else:
-        viol_df = viol_source
-        bad = set(viol_df["doc_id"].dropna()) if len(viol_df) else set()
-        for f in prior:
-            ids = pq.read_table(f, columns=["doc_id"])["doc_id"]
-            bad.update(ids.drop_null().to_pylist())
-        bad_id_list = sorted(bad)
-        if len(bad_id_list) <= _BAD_IDS_BROADCAST_CAP:
-            bad_ids = pa.array(bad_id_list, pa.string())
+        bad_ds = rd.from_arrow(
+            pa.table({"doc_id": pa.array(viol_source["doc_id"], pa.string())})
+        )
+        if prior:
+            bad_ds = bad_ds.union(read_parquet_clean(prior, columns=["doc_id"]))
+    valid = anti_membership(clean, bad_ds, "doc_id")
 
-            def keep_valid(t: pa.Table) -> pa.Table:
-                ok = pc.invert(
-                    pc.fill_null(pc.is_in(t["doc_id"], value_set=bad_ids), True)
-                )
-                return t.filter(ok)
-
-            valid = clean.map_batches(keep_valid, batch_format="pyarrow")
-        else:
-            bad_ds = rd.from_arrow(
-                pa.table({"doc_id": pa.array(bad_id_list, pa.string())})
-            )
-            valid = hash_anti_join(clean, bad_ds, "doc_id")
-
-    dest = os.path.join(out_dir, "validated", run_id)
-    shutil.rmtree(dest, ignore_errors=True)  # idempotent retry
-    valid.write_parquet(dest, partition_cols=["partition_id"])
-    return dest
+    return publish_dir(
+        os.path.join(out_dir, "validated", run_id),
+        lambda tmp: valid.write_parquet(tmp, partition_cols=["partition_id"]),
+    )
 
 
 def sequence_dataset_from_dir(path: str, rows_per_block: int = 32768):
@@ -788,8 +676,6 @@ def sequence_dataset_from_dir(path: str, rows_per_block: int = 32768):
     files, never within a task), and more for very large files; capped
     so tiny inputs don't shatter into scheduling confetti.
     """
-    from pynomaly_ray.sources.parquet import read_parquet_clean
-
     files = parquet_files(path)
     total = sum(pq.read_metadata(f).num_rows for f in files)
     blocks = max(len(files), min(1024, total // rows_per_block + 1))

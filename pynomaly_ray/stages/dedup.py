@@ -904,14 +904,17 @@ def exact_duplicates_incremental(
     state_dir: str,
     run_id: str,
     *,
-    commit: bool = True,
+    commit: bool = False,
 ) -> pd.DataFrame:
     """Cross-run incremental EXACT dedup — first-crawl-wins semantics.
 
     The exact-hash twin of :func:`minhash_lsh_duplicates_incremental`:
     each run persists (doc_id, content_hash) for the docs it first saw
-    under ``state_dir/hashes/<run_id>/`` (committed by a marker once
-    the run's pairs are delivered).  A later run over the accumulated
+    under ``state_dir/hashes/<run_id>/``.  The caller commits the run
+    with ``commit_run_state(state_dir, run_id, table="hashes")`` once
+    it has persisted the returned pairs (sink-then-commit);
+    ``commit=True`` commits before returning, for callers that treat
+    the returned pairs as delivered.  A later run over the accumulated
     corpus anti-joins doc_ids against committed state, so the content
     hash is computed ONCE per doc across the corpus lifetime, then
     emits (doc_keep, doc_dup) only for NEW docs whose content was

@@ -8,21 +8,19 @@ resumes emit identical rows.
 Scale design (SURVEY.md §4):
 
   phase 0 (inside the stage-A scan) — project to (doc_id, partition_id)
-      and pre-aggregate within the batch -> (doc_id, partition_id, cnt,
-      salt).  Only these short columns ever shuffle, never the tokens.
-  phase 1 — ``groupby("doc_id").aggregate(Sum("cnt"))``.  Ray Data's
-      aggregate does block-level partial aggregation before the exchange
-      (accumulate/merge), so a pathologically hot doc_id reaches the
-      reducer as <= n_blocks partial rows — the two-level salted
-      aggregation of the north_rule, with the salt supplied by block
-      boundaries.  The explicit ``salt`` column is retained for engines /
-      versions whose groupby lacks map-side combine: group by
-      ``["doc_id", "salt"]`` first, then by ``doc_id``.
-  phase 2 — totals > 1 form a (tiny) duplicate set, broadcast back; the
-      docpart stream is filtered by membership (``pc.is_in``) and only
-      the surviving rows — duplicates only — take the per-group path that
-      lists occurrences.  Vectorized end-to-end for the common
-      all-unique case; per-group Python only over actual duplicates.
+      and pre-aggregate within the batch -> (doc_id, doc_hash,
+      partition_id, cnt, salt).  Only these short columns ever shuffle,
+      never the tokens.  ``salt`` is carried into the docpart checkpoint
+      but nothing reads it.
+  phase 1 — ONE keyed exchange, ``hash_aggregate`` on the int64
+      ``doc_hash`` (functions/exchange.py): all occurrences of a doc_id
+      co-locate, and each bucket emits its violation rows through the
+      vectorized :func:`bulk_emit_violations`.  Its int64 bincount
+      prefilter drops the all-unique bulk before any string work, and
+      exact doc_id grouping over the survivors guards against hash
+      collisions.  The driver-local Stage B path
+      (pipelines/validation.py) runs the same reducer once over its
+      hash-level candidates.
 """
 
 from __future__ import annotations
@@ -169,9 +167,10 @@ def hash_candidate_mask(hashes: np.ndarray, cnts: np.ndarray) -> np.ndarray:
 
 def bulk_emit_violations(df: pd.DataFrame) -> pd.DataFrame:
     """Vectorized ALL-groups duplicate-violation emission for one
-    key-co-located bucket of docpart occurrence rows — the distributed
-    analogue of :func:`emit_duplicate_violations` (which stays as the
-    per-group reference the parity tests compare against).
+    key-co-located bucket of docpart occurrence rows (the driver-local
+    path passes its whole candidate set as one bucket) — the vectorized
+    form of :func:`emit_duplicate_violations`, which stays as the
+    per-group reference the parity tests compare against.
 
     Fast pre-filter: an int64 ``doc_hash`` bincount (C speed) discards
     the all-unique bulk of the bucket before any string work.  Extras
@@ -293,14 +292,3 @@ def duplicates_from_docparts(docparts_ds, prior_docparts_ds=None):
         )
     return hash_aggregate(union_ds, ["doc_hash"], bulk_emit_violations)
 
-
-def duplicate_violations(ds, *, batch_size: int = 8192, salt_buckets: int = 16):
-    """Standalone uniqueness pipeline over a full sequence Dataset
-    (projects + pre-aggregates itself; prefer the fused stage-A path in
-    pipelines/validation.py which reads the input only once)."""
-    projected = ds.map_batches(
-        lambda t: project_doc_partition(t, salt_buckets),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    return duplicates_from_docparts(projected)

@@ -3,26 +3,22 @@
 The architectural inversion vs the reference (SURVEY.md §4): the reference
 parallelizes *inside* its O(n^2) kNN over raw observations; this engine
 shrinks n to the number of Parquet partitions (one stat vector each), so
-the exact LoOP fit is cheap and runs in ONE place — a named Ray actor
-holding the frozen model — while the trillion-row scan parallelizes in
-stage A.  The stat table (10^3–10^5 rows even at 10^12 sequences, i.e.
-#partitions) trivially fits one actor.
+the exact LoOP fit is cheap and runs in ONE place — the driver — while
+the trillion-row scan parallelizes in stage A.  The stat table (10^3–10^5
+rows even at 10^12 sequences, i.e. #partitions) trivially fits one
+process.
 
 Scoring *new* partitions against a frozen fit (the reference's
-``stream()``, loop.py:993-1046) is an actor-pool ``map_batches`` stage:
-the frozen model is broadcast once with ``ray.put`` and loaded per actor
-in ``__init__``.
+``stream()``, loop.py:993-1046) is :class:`StreamDriftScorer`, which
+``run_validation(frozen_model=)`` applies to the run's stat table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import pandas as pd
-
-import ray
 
 from pynomaly_ray.loop_core import LocalOutlierProbability
 from pynomaly_ray.state.commit import atomic_write
@@ -171,68 +167,23 @@ def load_frozen_model(path: str) -> FrozenLoopModel:
         )
 
 
-@ray.remote
-class LoopFitActor:
-    """Named actor holding the LoOP fit (SURVEY.md §2.3 T1): the
-    partition-stat table is tiny by design, so the exact fit runs in one
-    place; the frozen model is then broadcast to the scorer pool."""
-
-    def fit(
-        self,
-        stats_df: pd.DataFrame,
-        n_neighbors: int,
-        extent: int,
-        cluster_by_source: bool,
-    ):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return fit_drift_scores(
-                stats_df,
-                n_neighbors=n_neighbors,
-                extent=extent,
-                cluster_by_source=cluster_by_source,
-            )
-
-
-def score_new_partitions(stats_ds, frozen: FrozenLoopModel, concurrency=(1, 4)):
-    """Incremental validation (the reference's stream() at engine scale):
-    score NEW partition-stat rows against a frozen fit via an actor-pool
-    map_batches stage; the model ships once per actor via ray.put."""
-    model_ref = ray.put(frozen)
-    return stats_ds.map_batches(
-        StreamDriftScorer,
-        fn_constructor_kwargs={"model_ref": model_ref},
-        batch_format="pandas",
-        concurrency=concurrency,
-    )
-
-
 class StreamDriftScorer:
-    """Actor-pool stage scoring new partition-stat rows against a frozen fit.
+    """Scores new partition-stat rows against a frozen fit.
 
-    Use: ``stats_ds.map_batches(StreamDriftScorer,
-    fn_constructor_kwargs={"model_ref": ray.put(frozen)},
-    concurrency=(1, N), batch_format="pandas")``.
-
-    Per-batch work is one vectorized distance computation against the
-    frozen training matrix — the reference's stream() scan
-    (loop.py:1024-1031) vectorized over the whole batch at once.
+    ``run_validation(frozen_model=)`` calls it once on the driver over
+    the run's (partition_id, stat_vector) table and reads back its
+    ``loop_score`` column.  The work is one vectorized distance
+    computation against the frozen training matrix — the reference's
+    stream() scan (loop.py:1024-1031) vectorized over the whole table
+    at once.
     """
 
-    def __init__(self, model_ref):
-        import ray
-
-        self.m: FrozenLoopModel = (
-            ray.get(model_ref)
-            if isinstance(model_ref, ray.ObjectRef)
-            else model_ref
-        )
+    def __init__(self, model: FrozenLoopModel):
+        self.m = model
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         m = self.m
-        if not len(batch):  # Ray Data may deliver an empty block
+        if not len(batch):
             out = batch.copy()
             out["loop_score"] = pd.Series(dtype=np.float64)
             return out

@@ -150,6 +150,38 @@ class ValidationAmend(Validation):
             "p1", "n_violations"] == 1
 
 
+class ValidatedSink:
+    """The validated-rows sink of a resumed run, published whole."""
+
+    def setup(self, d):
+        import ray.data as rd
+
+        from pynomaly_ray.pipelines.validation import run_validation
+
+        files = _seq_files()
+        run_validation(rd.read_parquet(files[: len(files) // 2]),
+                       _validation_cfg("r1"), out_dir=str(d))
+        run_validation(rd.read_parquet(files), _validation_cfg("r2"),
+                       out_dir=str(d))
+
+    def op(self, d):
+        import ray.data as rd
+
+        from pynomaly_ray.pipelines.validation import write_validated_output
+
+        viol = pq.read_table(d / "violations" / "r2.parquet").to_pandas()
+        write_validated_output(rd.read_parquet(_seq_files()), viol, str(d), "r2")
+
+    def read(self, d):
+        import pyarrow.dataset as pads
+
+        dest = d / "validated" / "r2"
+        if not dest.is_dir():
+            raise FileNotFoundError(dest)
+        t = pads.dataset(dest, partitioning="hive").to_table()
+        return _rows(t.select(["doc_id", "n_tok"]).to_pandas())
+
+
 class DriftModel:
     def _model(self, shift):
         from pynomaly_ray.state.drift import FrozenLoopModel
@@ -357,12 +389,16 @@ class ExactIncremental:
     def setup(self, d):
         from pynomaly_ray.stages.dedup import exact_duplicates_incremental
 
-        exact_duplicates_incremental(_docs(range(8)), str(d / "S"), "r1")
+        exact_duplicates_incremental(
+            _docs(range(8)), str(d / "S"), "r1", commit=True
+        )
 
     def op(self, d):
         from pynomaly_ray.stages.dedup import exact_duplicates_incremental
 
-        exact_duplicates_incremental(_docs(range(16)), str(d / "S"), "r2")
+        exact_duplicates_incremental(
+            _docs(range(16)), str(d / "S"), "r2", commit=True
+        )
 
     def read(self, d):
         from pynomaly_ray.stages.dedup import _committed_state_dirs
@@ -424,6 +460,7 @@ class CliRun:
 SURFACES = {
     "validation_manifest": Validation,
     "validation_amend": ValidationAmend,
+    "validated_sink": ValidatedSink,
     "drift_model": DriftModel,
     "matview_refresh": Matview,
     "iteration_rounds": Iteration,

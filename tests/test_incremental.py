@@ -1,5 +1,5 @@
 """Incremental scoring (frozen-model stream mode), model persistence,
-the fit actor, skew behavior, and hypothesis property tests."""
+skew behavior, and hypothesis property tests."""
 
 from __future__ import annotations
 
@@ -69,65 +69,6 @@ def test_incremental_scoring_against_frozen_model(fitted, ray_session, tmp_path)
     both = rep_fit.join(rep_incr, lsuffix="_f", rsuffix="_i")
     rmse = np.sqrt(((both.loop_score_f - both.loop_score_i) ** 2).mean())
     assert rmse < 0.35
-
-
-def test_score_new_partitions_actor_pool(fitted, ray_session):
-    """The actor-pool scorer stage (ray.put-broadcast model) matches the
-    driver-side scorer exactly."""
-    import ray.data as rd
-
-    from pynomaly_ray.state.drift import (
-        StreamDriftScorer,
-        load_frozen_model,
-        score_new_partitions,
-    )
-
-    res, out = fitted
-    frozen = load_frozen_model(os.path.join(out, "model", "base.npz"))
-    import pyarrow.parquet as pq
-
-    rep = pq.read_table(os.path.join(out, "partitions", "base.parquet")).to_pandas()
-    df = pd.DataFrame(
-        {
-            "partition_id": rep.partition_id,
-            "stat_vector": [np.asarray(v) for v in rep.stat_vector],
-        }
-    )
-    pooled = (
-        score_new_partitions(rd.from_pandas(df), frozen)
-        .to_pandas()
-        .sort_values("partition_id")
-        .reset_index(drop=True)
-    )
-    direct = StreamDriftScorer(frozen)(df).sort_values(
-        "partition_id"
-    ).reset_index(drop=True)
-    assert np.abs(
-        pooled.loop_score.to_numpy() - direct.loop_score.to_numpy()
-    ).max() <= 1e-12
-
-
-def test_loop_fit_actor_matches_driver_fit(fitted, ray_session):
-    import ray
-
-    from pynomaly_ray.state.drift import LoopFitActor, fit_drift_scores
-
-    res, out = fitted
-    import pyarrow.parquet as pq
-
-    rep = pq.read_table(os.path.join(out, "partitions", "base.parquet")).to_pandas()
-    df = pd.DataFrame(
-        {
-            "partition_id": rep.partition_id,
-            "source": rep.source,
-            "stat_vector": [np.asarray(v) for v in rep.stat_vector],
-        }
-    )
-    actor = LoopFitActor.remote()
-    scores_a, _ = ray.get(actor.fit.remote(df, 10, 3, False))
-    scores_d, _ = fit_drift_scores(df, n_neighbors=10, extent=3)
-    assert np.abs(scores_a - scores_d).max() == 0.0
-    ray.kill(actor)
 
 
 def test_hot_doc_id_skew(ray_session):

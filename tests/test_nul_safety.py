@@ -93,19 +93,26 @@ def test_uniqueness_projection_keeps_nul_doc_ids_distinct():
 
 
 def test_uniqueness_end_to_end_nul_doc_ids(ray_session):
-    """Full duplicate_violations pipeline: only the genuinely repeated
-    NUL-bearing doc_id yields a violation (c-1 = 1 row)."""
+    """Batch projection, then the uniqueness exchange: only the genuinely
+    repeated NUL-bearing doc_id yields a violation (c-1 = 1 row)."""
+    import pyarrow as pa
     import ray.data as rd
 
-    from pynomaly_ray.stages.uniqueness import duplicate_violations
+    from pynomaly_ray.stages.uniqueness import (
+        duplicates_from_docparts,
+        project_doc_partition,
+    )
 
-    df = pd.DataFrame(
+    t = pa.table(
         {
             "doc_id": ["a", "a\x00b", "a\x00b", "a\x00c", "b", "b"],
             "partition_id": ["p0", "p0", "p1", "p1", "p0", "p1"],
         }
     )
-    out = duplicate_violations(rd.from_pandas(df)).to_pandas()
+    docparts = rd.from_arrow(t).map_batches(
+        project_doc_partition, batch_format="pyarrow", batch_size=3
+    )
+    out = duplicates_from_docparts(docparts).to_pandas()
     assert len(out) == 2  # one for a\x00b, one for b
     assert set(out["doc_id"]) == {"a\x00b", "b"}
     # the tolerated occurrence is the lowest partition_id -> violations

@@ -188,7 +188,7 @@ def test_distributed_path_matches_local(result, seq_dir, ray_session):
 
     ds = sequence_dataset_from_dir(seq_dir)
     res_dist = run_validation(
-        ds, ValidationConfig(**CFG), out_dir=None, force_distributed=True
+        ds, ValidationConfig(**CFG, driver_collect_bytes=0), out_dir=None
     )
     a = result.report.to_pandas()
     b = res_dist.report.to_pandas()
@@ -352,6 +352,61 @@ def test_zero_valid_rows_run_still_commits(ray_session, tmp_path):
     ]
 
 
+def _web_rows(pid, n=4, source="web"):
+    import pyarrow as pa
+
+    return pa.table(
+        {
+            "doc_id": pa.array([f"{pid}-d{i}" for i in range(n)], pa.string()),
+            "tokens": pa.array([[1, 2, 3]] * n, pa.list_(pa.int32())),
+            "n_tok": pa.array([3] * n, pa.int32()),
+            "source": pa.array([source] * n, pa.string()),
+            "partition_id": pa.array([pid] * n, pa.string()),
+        }
+    )
+
+
+@pytest.mark.parametrize("shape", ["no_partitions", "invalid_only", "fitted"])
+def test_every_tail_shape_commits_what_it_returns(shape, ray_session, tmp_path):
+    """The three ways a run can end with out_dir — no partitions left
+    after resume, only all-invalid partitions, fitted partitions — each
+    return the committed manifest, write partitions/<run>.parquet
+    exactly when they have report rows, and leave docparts a later
+    resume trusts."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pynomaly_ray.pipelines.validation import (
+        _prior_docpart_dirs,
+        run_validation,
+    )
+    from pynomaly_ray.state.manifest import read_full_manifest
+
+    def cfg(run_id):
+        return ValidationConfig(valid_sources=["web"], n_neighbors=2, run_id=run_id)
+
+    out = str(tmp_path / "out")
+    run_validation(rd.from_arrow(_web_rows("p0")), cfg("r0"), out_dir=out)
+    rows = {
+        "no_partitions": _web_rows("p0"),  # all skipped: p0 is committed
+        "invalid_only": _web_rows("p1", source="bogus"),
+        "fitted": pa.concat_tables([_web_rows("p1"), _web_rows("p2")]),
+    }[shape]
+    res = run_validation(rd.from_arrow(rows), cfg("r1"), out_dir=out)
+
+    assert res.report.equals(read_full_manifest(out))
+    has_rows = shape != "no_partitions"
+    assert os.path.exists(os.path.join(out, "partitions", "r1.parquet")) == has_rows
+    assert os.path.join(out, "docparts", "r1") in _prior_docpart_dirs(out, "r2", True)
+
+    # a later run repeating one of r1's doc_ids sees it as a duplicate
+    again = _web_rows("pz", n=1).set_column(0, "doc_id", rows.slice(0, 1)["doc_id"])
+    res2 = run_validation(rd.from_arrow(again), cfg("r2"), out_dir=out)
+    dups = res2.violations.to_pandas()
+    assert list(dups["check"]) == ["duplicate_doc_id"]
+    assert list(dups["partition_id"]) == ["pz"]
+
+
 def test_distributed_violation_cap(seq_dir, ray_session, monkeypatch, tmp_path):
     """Above the driver cap, the distributed path writes violations to
     parquet distributedly and keeps only per-partition counts on the
@@ -362,7 +417,7 @@ def test_distributed_violation_cap(seq_dir, ray_session, monkeypatch, tmp_path):
 
     monkeypatch.setattr(V, "_MAX_DRIVER_VIOLATIONS", 0)
     out = str(tmp_path / "out")
-    cfg = ValidationConfig(**CFG, run_id="capped")
+    cfg = ValidationConfig(**CFG, run_id="capped", driver_collect_bytes=0)
     res = V.run_validation(
         rd.read_parquet(
             sorted(
@@ -373,7 +428,6 @@ def test_distributed_violation_cap(seq_dir, ray_session, monkeypatch, tmp_path):
         ),
         cfg,
         out_dir=out,
-        force_distributed=True,
     )
     rep = res.report.to_pandas()
     assert rep.n_violations.sum() == 9  # planted violations all counted
@@ -602,7 +656,7 @@ def test_validated_output_anti_join_path_identical(seq_dir, ray_session, monkeyp
     V.write_validated_output(rd.from_arrow(t), viol, out_a, "r1")
     a = read_back(out_a)
 
-    monkeypatch.setattr(V, "_BAD_IDS_BROADCAST_CAP", 10)  # force anti-join
+    monkeypatch.setenv("PNR_BROADCAST_ANTI_CAP", "10")  # force anti-join
     out_b = str(tmp_path / "antijoin")
     V.write_validated_output(rd.from_arrow(t), viol, out_b, "r1")
     b = read_back(out_b)

@@ -31,12 +31,15 @@ def test_first_crawl_wins_across_three_runs(ray_session, tmp_path):
         _docs(ray_session, [(10, "aaa"), (11, "bbb"), (12, "aaa")]),
         state,
         "run1",
+        commit=True,
     )
     assert _pairs(p1) == [(10, 12)]
     # run 2 (accumulated corpus): new docs 5 (dup of 10 — SMALLER id,
     # but the keeper stays the first-seen doc 10) and 6 (new content)
     corpus2 = [(10, "aaa"), (11, "bbb"), (12, "aaa"), (5, "aaa"), (6, "ccc")]
-    p2 = exact_duplicates_incremental(_docs(ray_session, corpus2), state, "run2")
+    p2 = exact_duplicates_incremental(
+        _docs(ray_session, corpus2), state, "run2", commit=True
+    )
     assert _pairs(p2) == [(10, 5)]
     # run 3: a dup of run-2's new content — keeper is run-2's doc 6
     corpus3 = corpus2 + [(7, "ccc")]
@@ -60,7 +63,7 @@ def test_uncommitted_run_does_not_suppress(ray_session, tmp_path):
     assert os.path.isdir(os.path.join(state, "hashes", "run1"))
     # retry of run1 re-hashes everything and re-emits the lost pairs
     p_retry = exact_duplicates_incremental(
-        _docs(ray_session, rows), state, "run1"
+        _docs(ray_session, rows), state, "run1", commit=True
     )
     assert _pairs(p_retry) == [(1, 2)]
     # now committed: run2 sees the docs as prior and emits nothing new
@@ -217,9 +220,13 @@ def test_compact_exact_state_preserves_keepers(ray_session, tmp_path):
     # run1: doc 10 introduces "aaa"; run2: doc 5 (smaller id!) dups it
     c1 = [(10, "aaa"), (11, "bbb")]
     c2 = c1 + [(5, "aaa")]
-    p1 = exact_duplicates_incremental(_docs(ray_session, c1), state, "run1")
+    p1 = exact_duplicates_incremental(
+        _docs(ray_session, c1), state, "run1", commit=True
+    )
     assert _pairs(p1) == []
-    p2 = exact_duplicates_incremental(_docs(ray_session, c2), state, "run2")
+    p2 = exact_duplicates_incremental(
+        _docs(ray_session, c2), state, "run2", commit=True
+    )
     assert _pairs(p2) == [(10, 5)]  # 5 dropped, 10 keeps
 
     rep = compact_exact_state(state)
@@ -246,12 +253,12 @@ def test_compact_exact_state_idempotent_and_rerunnable(ray_session, tmp_path):
 
     state = str(tmp_path / "state")
     exact_duplicates_incremental(
-        _docs(ray_session, [(1, "a")]), state, "run1"
+        _docs(ray_session, [(1, "a")]), state, "run1", commit=True
     )
     # single committed run: nothing to fold
     assert compact_exact_state(state)["compacted_runs"] == 0
     exact_duplicates_incremental(
-        _docs(ray_session, [(1, "a"), (2, "b")]), state, "run2"
+        _docs(ray_session, [(1, "a"), (2, "b")]), state, "run2", commit=True
     )
     r = compact_exact_state(state)
     assert r["compacted_runs"] == 2
