@@ -201,7 +201,7 @@ def cmd_dedup(args) -> int:
             # the out dir to the state like the LSH params are pinned
             _check_state_out_dir(args.state_dir, args.out)
             pairs_ds = minhash_lsh_duplicates_incremental(
-                ds, args.state_dir, args.run_id, commit=False, **kw
+                ds, args.state_dir, args.run_id, **kw
             )
             # one pair dir per run: the union over runs is the full pair
             # set (each run emits only pairs touching its new docs).

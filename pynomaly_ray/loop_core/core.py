@@ -12,9 +12,13 @@ hold verbatim (see tests/test_loop_core.py).
 
 Numeric semantics reproduced exactly (parity target 1e-9):
 
-- kNN: per-cluster brute-force Euclidean, self-distance masked to +inf,
-  unordered k-smallest via ``np.argpartition`` (reference loop.py:648-694).
-  Neighbor indices are *global* row ids.
+- kNN: per-cluster brute-force Euclidean in 256-row chunks, self-distance
+  masked to +inf, unordered k-smallest via ``np.argpartition`` (reference
+  loop.py:648-694).  Neighbor indices are *global* row ids.  A chunk's
+  distances come from the broadcast-subtract form while its
+  (rows, points, features) temporary stays small, and from one BLAS
+  product otherwise (``_pairwise_euclidean``), so a 3,072 x 22 fit peaks
+  at about 15 MB instead of building a 138 MB temporary per chunk.
 - ssd_i       = sum of squared kNN distances               (loop.py:771-789)
 - std_i       = sqrt(ssd_i / n_neighbors)                  (loop.py:791-803)
               NOTE: divides by the configured ``n_neighbors`` even in
@@ -109,22 +113,32 @@ def _as_points(obj) -> np.ndarray:
     return np.array([obj])
 
 
-_GEMM_MIN_CELLS = 4_000_000  # chunk_rows * n_points above which BLAS wins
+# Size, in float64 cells, of the (rows, points, features) broadcast
+# temporary above which the BLAS form wins; it caps that temporary at
+# 32 MB.  The feature count belongs in it: a 256-row chunk of a
+# 3,072 x 22 stat table has only 786k (rows, points) cells, but its
+# broadcast temporary would be 17.3M cells (138 MB).
+_GEMM_MIN_CELLS = 4_000_000
+_CHUNK_ROWS = 256  # query rows per kernel call in the fit and frozen scoring
 
 
 def _pairwise_euclidean(chunk: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Dense Euclidean distances between ``chunk`` rows and all ``pts`` rows.
 
-    Small problems use the broadcast-subtract form (same arithmetic as the
-    reference's no-scipy fallback, loop.py:672-676).  Large problems use
-    the BLAS expansion ||a-b||^2 = ||a||^2 - 2ab + ||b||^2, which is
-    ~10-40x faster; its round-off is corrected two ways so degenerate
-    inputs keep reference semantics: negatives clip to zero, and squared
-    distances below eps * scale snap to exactly 0.0 (identical points
-    must yield exactly-zero distances for the all-equal guards,
+    The form is chosen by the size of the broadcast temporary,
+    ``rows x points x features`` cells, against ``_GEMM_MIN_CELLS``.
+    Below it, the broadcast-subtract form runs (same arithmetic as the
+    reference's no-scipy fallback, loop.py:672-676, so small fixtures
+    keep the reference's exact distance ties).  Above it, the BLAS
+    expansion ||a-b||^2 = ||a||^2 - 2ab + ||b||^2 runs with
+    ``rows x points`` temporaries only and is ~10-40x faster; its
+    round-off is corrected two ways so degenerate inputs keep reference
+    semantics: negatives clip to zero, and squared distances below
+    eps * scale snap to exactly 0.0 (identical points must yield
+    exactly-zero distances for the all-equal guards,
     loop.py:508-509,542-543).
     """
-    if chunk.shape[0] * pts.shape[0] < _GEMM_MIN_CELLS:
+    if chunk.shape[0] * pts.shape[0] * pts.shape[1] < _GEMM_MIN_CELLS:
         diff = chunk[:, None, :] - pts[None, :, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     # Center first: pairwise distances are translation-invariant, and
@@ -133,17 +147,22 @@ def _pairwise_euclidean(chunk: np.ndarray, pts: np.ndarray) -> np.ndarray:
     # ||x||^2 ~ 1e18 dwarfs real separations).  After centering, the
     # residual of identical points is a few ulps of the variance scale,
     # so a ~16*eps relative snap restores exact zeros without eating
-    # genuine small distances.
+    # genuine small distances.  The in-place steps compute exactly
+    # a2 - 2ab + b2 without a temporary per operator.
     mu = pts.mean(axis=0)
     c = chunk - mu
     p = pts - mu
     a2 = np.einsum("ij,ij->i", c, c)
     b2 = np.einsum("ij,ij->i", p, p)
-    d2 = a2[:, None] - 2.0 * (c @ p.T) + b2[None, :]
-    scale = a2[:, None] + b2[None, :]
+    d2 = c @ p.T
+    d2 *= -2.0
+    d2 += a2[:, None]
+    d2 += b2[None, :]
     np.clip(d2, 0.0, None, out=d2)
-    d2[d2 <= 16.0 * np.finfo(np.float64).eps * scale] = 0.0
-    return np.sqrt(d2)
+    snap = a2[:, None] + b2[None, :]
+    snap *= 16.0 * np.finfo(np.float64).eps
+    d2[d2 <= snap] = 0.0
+    return np.sqrt(d2, out=d2)
 
 
 class LocalOutlierProbability:
@@ -403,7 +422,7 @@ class LocalOutlierProbability:
             member_idx = np.flatnonzero(labels == cluster_id)
             cpts = pts[member_idx]
             m = cpts.shape[0]
-            chunk = min(256, m)
+            chunk = min(_CHUNK_ROWS, m)
             for lo in range(0, m, chunk):
                 hi = min(lo + chunk, m)
                 dist = _pairwise_euclidean(cpts[lo:hi], cpts)
@@ -413,6 +432,9 @@ class LocalOutlierProbability:
                     dist, sel, axis=1
                 )
                 neighbors[member_idx[lo:hi]] = member_idx[sel]
+                # free this chunk's (rows, points) arrays before the next
+                # chunk's kernel allocates its own
+                del dist, sel
 
         self.distance_matrix = distances
         self.neighbor_matrix = neighbors

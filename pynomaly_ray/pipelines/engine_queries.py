@@ -189,6 +189,7 @@ def q_minhash_dedup_incremental(sf_dir: str):
     certifying the incremental crawl-accumulation semantics end-to-end,
     not just one run."""
     from pynomaly_ray.stages.dedup import (
+        commit_run_state,
         minhash_lsh_duplicates,
         minhash_lsh_duplicates_incremental,
     )
@@ -214,7 +215,9 @@ def q_minhash_dedup_incremental(sf_dir: str):
     kw = dict(n_perm=64, n_bands=16, jaccard_threshold=0.5)
     state = _surface_dir("minhash_inc_state")
     p1 = minhash_lsh_duplicates_incremental(_docs(even), state, "run1", **kw)
+    commit_run_state(state, "run1")  # run1's pairs are held: commit it
     p2 = minhash_lsh_duplicates_incremental(_docs(), state, "run2", **kw)
+    commit_run_state(state, "run2")
     both = pd.concat([p1, p2], ignore_index=True)
     oneshot = minhash_lsh_duplicates(_docs(), **kw)
     if not set(zip(oneshot.doc_a, oneshot.doc_b)) <= set(

@@ -49,7 +49,7 @@ from pynomaly_ray.config import (
 from pynomaly_ray.functions.exchange import anti_membership, hash_aggregate
 from pynomaly_ray.functions.hashing import digest_floats
 from pynomaly_ray.sources.parquet import parquet_files, read_parquet_clean
-from pynomaly_ray.stages.stats import finalize_stat_vector, merge_partials_df
+from pynomaly_ray.stages.stats import finalize_stat_vectors, merge_partials_df
 from pynomaly_ray.stages.uniqueness import (
     bulk_emit_violations,
     duplicates_from_docparts,
@@ -464,7 +464,8 @@ def _fitted_report(
     """Report rows of the partitions with valid rows: LoOP scores from a
     fresh fit (its frozen model saved under ``out_dir``) or against
     ``frozen_model``, and pass/fail from score and violation count."""
-    stats_df["stat_vector"] = stats_df.apply(finalize_stat_vector, axis=1)
+    vectors = finalize_stat_vectors(stats_df)
+    stats_df["stat_vector"] = list(vectors)
     if frozen_model is not None:
         # Incremental mode (the reference's stream(), loop.py:993-1046,
         # at engine scale): score new partitions against a frozen fit —
@@ -494,39 +495,35 @@ def _fitted_report(
             save_frozen_model(
                 frozen, os.path.join(out_dir, "model", f"{cfg.run_id}.npz")
             )
-    stats_df["loop_score"] = scores
-    stats_df["n_violations"] = (
-        stats_df["partition_id"].map(vcounts).fillna(0).astype(np.int64)
+    n_violations = (
+        stats_df["partition_id"].map(vcounts).fillna(0).to_numpy(np.int64)
     )
-    stats_df["status"] = np.where(
-        (stats_df["loop_score"] > cfg.drift_threshold)
-        | (stats_df["n_violations"] > 0),
-        "fail",
-        "pass",
+    status = np.where(
+        (scores > cfg.drift_threshold) | (n_violations > 0), "fail", "pass"
     )
-    lineage = [
-        {
-            "n_rows": int(r.n_rows),
-            "stats_digest": digest_floats(r.stat_vector),
-            "run_id": cfg.run_id,
-        }
-        for r in stats_df.itertuples()
-    ]
+    n, width = vectors.shape
+    n_rows = pa.array(stats_df["n_rows"], pa.int64())
+    lineage = pa.StructArray.from_arrays(
+        [
+            n_rows,
+            pa.array([digest_floats(v) for v in vectors], pa.string()),
+            pa.repeat(pa.scalar(cfg.run_id, pa.string()), n),
+        ],
+        fields=list(PARTITION_REPORT_SCHEMA.field("lineage").type),
+    )
     return pa.table(
         {
             "partition_id": pa.array(stats_df["partition_id"], pa.string()),
             "source": pa.array(stats_df["source"], pa.string()),
-            "n_rows": pa.array(stats_df["n_rows"], pa.int64()),
-            "n_violations": pa.array(stats_df["n_violations"], pa.int64()),
-            "stat_vector": pa.array(
-                [list(v) for v in stats_df["stat_vector"]],
-                pa.list_(pa.float64()),
+            "n_rows": n_rows,
+            "n_violations": pa.array(n_violations, pa.int64()),
+            "stat_vector": pa.ListArray.from_arrays(
+                pa.array(np.arange(0, n * width + 1, width, dtype=np.int32)),
+                pa.array(vectors.ravel()),
             ),
-            "loop_score": pa.array(stats_df["loop_score"], pa.float64()),
-            "status": pa.array(stats_df["status"], pa.string()),
-            "lineage": pa.array(
-                lineage, PARTITION_REPORT_SCHEMA.field("lineage").type
-            ),
+            "loop_score": pa.array(scores, pa.float64()),
+            "status": pa.array(status, pa.string()),
+            "lineage": lineage,
         },
         schema=PARTITION_REPORT_SCHEMA,
     )

@@ -627,7 +627,7 @@ def minhash_lsh_duplicates_incremental(
     shingle_k: int = 5,
     jaccard_threshold: float = 0.8,
     as_dataset: bool = False,
-    commit: bool = True,
+    commit: bool = False,
 ):
     """Cross-run incremental MinHash-LSH near-dup detection.
 
@@ -658,12 +658,13 @@ def minhash_lsh_duplicates_incremental(
     doc cannot be tracked across runs), on EVERY run including the
     first — run uniqueness/validation beforehand to surface them.
 
-    ``commit=True`` writes the marker as the last step — correct when
-    the returned pairs ARE the delivery (library use).  A caller that
-    persists the pairs itself (the CLI writing parquet) must pass
-    ``commit=False`` and call :func:`commit_run_state` AFTER its
-    sink write, else a crash between marker and sink permanently
-    suppresses the run's pairs.
+    Sink-then-commit, as in :func:`exact_duplicates_incremental`: the
+    run is left uncommitted, and the caller commits it with
+    :func:`commit_run_state` once it has persisted the returned pairs
+    (the CLI after writing its parquet) — a marker written before the
+    sink would let a crash between them suppress the run's pairs for
+    good.  ``commit=True`` writes the marker as the last step, for
+    callers that treat the returned pairs as delivered.
     """
     import os
     import shutil

@@ -4,9 +4,12 @@ The engine analogue of the reference's "observation matrix" construction:
 each Parquet partition becomes ONE row of a small stat table (SURVEY.md
 §1.2), which is what LoOP is fit on.  Partials are computed per batch
 inside the stage-A scan (pure vector-adds: counts, moment sums, token-id
-histogram, exact sequence-length histogram) and merged with a tiny
-``groupby(partition_id)`` shuffle — the classic partial+final aggregation
-(SURVEY.md §2.5 A6), so hot partitions never hot-spot a reducer.
+histogram, exact sequence-length histogram) and merged per partition
+(``merge_partials_df``) — the classic partial+final aggregation
+(SURVEY.md §2.5 A6), so hot partitions never hot-spot a reducer.  The
+merge and the final stat vectors (``finalize_stat_vectors``) are
+computed over the whole table at once, column by column, never row by
+row: their cost stays a few ms at thousands of partitions.
 """
 
 from __future__ import annotations
@@ -122,71 +125,100 @@ def partial_stats_batch(
     )
 
 
+def _hist_matrix(col: pd.Series) -> np.ndarray:
+    """A histogram column (one int64 vector per row) as one (rows, width)
+    matrix."""
+    return np.stack(col.to_numpy()).astype(np.int64, copy=False)
+
+
 def merge_partials_df(df: pd.DataFrame) -> pd.DataFrame:
-    """Bucket-level reducer for ``hash_aggregate``: merge ALL partitions'
-    partial rows present in one hash bucket (vectorized sums; the
-    histogram vector-adds run once per partition, not per row)."""
-    from pynomaly_ray.functions.hashing import nul_safe_key
+    """Merge every partition's partial rows into one row per partition.
 
-    def _vsum(s: pd.Series) -> np.ndarray:
-        return np.sum(np.stack([np.asarray(v) for v in s.to_numpy()]), axis=0)
-
-    # nul_safe_key: partials are few (partitions x batches), so the
-    # Arrow-string cast is cheap here — and partition ids differing only
-    # after an embedded NUL must not merge in the final reduction either
-    df = df.assign(partition_id=nul_safe_key(df["partition_id"]))
-    g = df.groupby("partition_id", sort=False)
-    out = g.agg(
-        source=("source", "first"),
-        n_rows=("n_rows", "sum"),
-        n_tok_sum=("n_tok_sum", "sum"),
-        n_tok_sum2=("n_tok_sum2", "sum"),
-        n_tok_sum3=("n_tok_sum3", "sum"),
-    )
-    out["tok_hist"] = g["tok_hist"].apply(_vsum)
-    out["len_hist"] = g["len_hist"].apply(_vsum)
-    out = out.reset_index()
-    # restore the plain-object key dtype so downstream Arrow conversion
-    # yields `string` blocks identical to the pre-merge schema
-    out["partition_id"] = out["partition_id"].astype(object)
-    return out
-
-
-def _hist_quantile(hist: np.ndarray, q: float) -> float:
-    """Quantile from an exact bucket-count histogram (bucket width 16)."""
-    total = hist.sum()
-    if total == 0:
-        return 0.0
-    target = q * total
-    cum = np.cumsum(hist)
-    b = int(np.searchsorted(cum, target, side="left"))
-    return float(b * 16 + 8)  # bucket midpoint
+    The reducer of Stage B on both paths: once over all partials on the
+    driver, and once per bucket as ``hash_aggregate``'s ``merge_fn``.
+    The partition ids are factorized once by Arrow's hash table, which
+    compares the full UTF-8 bytes: ids differing only after an embedded
+    NUL stay apart (pandas' object hash table would merge them).  The
+    scalar counters are summed by one group-by over those integer codes;
+    each histogram column starts from the first partial row of every
+    partition and adds the partition's other rows with one
+    ``np.add.at``, so a partition seen in one batch costs no addition.
+    Output rows follow the ids' first appearance.  Partition ids are
+    never null: ``partial_stats_batch`` buckets null ids under
+    ``"<null>"``.
+    """
+    if df.empty:
+        return df[PARTIAL_STATS_SCHEMA.names].reset_index(drop=True)
+    enc = pc.dictionary_encode(pa.array(df["partition_id"], pa.string()))
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    g = df.groupby(codes, sort=True)  # codes follow first appearance
+    out = g[["n_rows", "n_tok_sum", "n_tok_sum2", "n_tok_sum3"]].sum()
+    out.insert(0, "source", g["source"].first())
+    ids = enc.dictionary.to_numpy(zero_copy_only=False)
+    out.insert(0, "partition_id", ids)
+    first = np.unique(codes, return_index=True)[1]
+    rest = np.ones(len(codes), dtype=bool)
+    rest[first] = False
+    for col in ("tok_hist", "len_hist"):
+        mat = _hist_matrix(df[col])
+        summed = mat[first]
+        np.add.at(summed, codes[rest], mat[rest])
+        out[col] = list(summed)
+    return out.reset_index(drop=True)
 
 
-def finalize_stat_vector(row: pd.Series) -> np.ndarray:
-    """Merged counters -> the fixed-width float64 stat vector LoOP sees.
+def _cube(x: np.ndarray) -> np.ndarray:
+    """``x ** 3`` through the C library's ``pow``, one element at a time.
+    NumPy's vectorized power differs from it in the last bits, and the
+    stat vectors (so their lineage digests) must stay bit-stable."""
+    return np.array([v**3 for v in x.tolist()], dtype=np.float64)
+
+
+def _hist_quantiles(cum: np.ndarray, q: float) -> np.ndarray:
+    """Per-row quantile from exact bucket-count histograms (bucket width
+    16), given their row-wise cumulative sums: the midpoint of the first
+    bucket whose cumulative count reaches ``q`` of the row's total, 0.0
+    for an empty histogram."""
+    total = cum[:, -1]
+    b = (cum < (q * total)[:, None]).sum(axis=1)
+    return np.where(total == 0, 0.0, b * 16.0 + 8.0)
+
+
+def finalize_stat_vectors(stats: pd.DataFrame) -> np.ndarray:
+    """Merged counters -> the (partitions, 22) float64 matrix LoOP sees,
+    one stat vector per row of ``stats``, computed column-wise over the
+    whole table.
 
     Features: [mean_n_tok, std_n_tok, skew_n_tok, len_p50, len_p90,
     len_p99, tok_hist_frac_0..N-1].  These are the "n_tok moments,
     token-id histograms, per-source sequence-length sketches" of the
-    north_star, as per-partition observations.
+    north_star, as per-partition observations.  Every entry is the same
+    float64 operation sequence as a scalar evaluation of one row
+    (``_cube`` keeps the C ``pow``), so the vectors are bit-identical to
+    a row-at-a-time finalize and the lineage ``stats_digest`` values do
+    not depend on how many partitions share the table.
     """
-    n = max(int(row["n_rows"]), 1)
-    s1, s2, s3 = row["n_tok_sum"], row["n_tok_sum2"], row["n_tok_sum3"]
+    n = np.maximum(stats["n_rows"].to_numpy(dtype=np.int64), 1)
+    s1 = stats["n_tok_sum"].to_numpy(dtype=np.float64)
+    s2 = stats["n_tok_sum2"].to_numpy(dtype=np.float64)
+    s3 = stats["n_tok_sum3"].to_numpy(dtype=np.float64)
     mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
+    var = np.maximum(s2 / n - mean * mean, 0.0)
     std = np.sqrt(var)
-    if std > 0:
-        skew = (s3 / n - 3 * mean * var - mean**3) / (std**3)
-    else:
-        skew = 0.0
-    lh = np.asarray(row["len_hist"], dtype=np.float64)
-    th = np.asarray(row["tok_hist"], dtype=np.float64)
-    tok_frac = th / max(th.sum(), 1.0)
-    return np.concatenate(
+    skew = np.zeros(len(n))
+    pos = std > 0
+    m, v = mean[pos], var[pos]
+    skew[pos] = (s3[pos] / n[pos] - 3 * m * v - _cube(m)) / _cube(std[pos])
+    len_cum = np.cumsum(_hist_matrix(stats["len_hist"]), axis=1)
+    len_cum = len_cum.astype(np.float64)
+    th = _hist_matrix(stats["tok_hist"]).astype(np.float64)
+    tok_frac = th / np.maximum(th.sum(axis=1), 1.0)[:, None]
+    return np.column_stack(
         [
-            [mean, std, skew],
-            [_hist_quantile(lh, 0.5), _hist_quantile(lh, 0.9), _hist_quantile(lh, 0.99)],
+            mean, std, skew,
+            _hist_quantiles(len_cum, 0.5),
+            _hist_quantiles(len_cum, 0.9),
+            _hist_quantiles(len_cum, 0.99),
             tok_frac,
         ]
     )

@@ -418,8 +418,10 @@ class MinhashCompact:
     def setup(self, d):
         from pynomaly_ray.stages.dedup import minhash_lsh_duplicates_incremental
 
-        minhash_lsh_duplicates_incremental(_docs(range(6)), str(d / "S"), "r1")
-        minhash_lsh_duplicates_incremental(_docs(range(12)), str(d / "S"), "r2")
+        for run, n in (("r1", 6), ("r2", 12)):
+            minhash_lsh_duplicates_incremental(
+                _docs(range(n)), str(d / "S"), run, commit=True
+            )
 
     def op(self, d):
         from pynomaly_ray.stages.dedup import compact_minhash_state

@@ -71,6 +71,43 @@ def test_incremental_scoring_against_frozen_model(fitted, ray_session, tmp_path)
     assert rmse < 0.35
 
 
+def test_frozen_scorer_uses_the_fit_kernel():
+    """Frozen scoring computes its distances with the fit's kernel: a
+    new partition identical to a training partition is at distance
+    exactly 0.0 from it, also where the batch is large enough for the
+    BLAS form, and each frozen score equals loop_core's stream() over
+    the same frozen fit."""
+    import warnings
+
+    from pynomaly_ray.loop_core import LocalOutlierProbability
+    from pynomaly_ray.loop_core import core
+    from pynomaly_ray.state.drift import StreamDriftScorer, fit_drift_scores
+
+    n, f = 3072, 22
+    rng = np.random.RandomState(4)
+    vecs = rng.randn(n, f) * rng.uniform(0.1, 5.0, f) + rng.uniform(-3, 3, f)
+    stats = pd.DataFrame(
+        {"partition_id": [f"p{i:05d}" for i in range(n)], "stat_vector": list(vecs)}
+    )
+    _, frozen = fit_drift_scores(stats, n_neighbors=10, extent=3)
+
+    twins = np.arange(0, n, 12)  # 256 rows: one full chunk
+    assert len(twins) * n * f >= core._GEMM_MIN_CELLS
+    scorer = StreamDriftScorer(frozen)
+    X = (vecs[twins] - frozen.feat_mean) / frozen.feat_scale
+    knn = scorer.knn_distances(X)
+    assert (knn.min(axis=1) == 0.0).all()
+
+    scored = scorer(stats.iloc[twins].copy())["loop_score"].to_numpy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = LocalOutlierProbability(
+            frozen.points, n_neighbors=frozen.n_neighbors, extent=frozen.extent
+        ).fit()
+        expected = [float(np.asarray(model.stream(x))) for x in X[:16]]
+    np.testing.assert_allclose(scored[:16], expected, rtol=0, atol=1e-12)
+
+
 def test_hot_doc_id_skew(ray_session):
     """A pathologically hot doc_id (2k copies across partitions) yields
     exactly c-1 duplicate violations and doesn't break the pipeline."""

@@ -495,3 +495,66 @@ def test_large_magnitude_data_gemm_path(reference_loop) -> None:
     X20 = 1.7e9 + rng.uniform(0, 60, (20000, 1))
     s = scores_of(LocalOutlierProbability(X20, n_neighbors=10).fit())
     assert (s > 0).sum() > 1000 and np.isfinite(s).all()
+
+
+def _per_feature_brute_force_loop(x: np.ndarray, k: int, extent: int):
+    """LoOP by exact kNN over distances accumulated one feature at a time
+    (the benchmark oracle's formula, without its z-scoring)."""
+    import math
+
+    n = len(x)
+    knn_d = np.empty((n, k))
+    knn_i = np.empty((n, k), dtype=np.int64)
+    for lo in range(0, n, 256):
+        hi = min(lo + 256, n)
+        d2 = np.zeros((hi - lo, n))
+        for f in range(x.shape[1]):
+            diff = x[lo:hi, f, None] - x[None, :, f]
+            d2 += diff * diff
+        d = np.sqrt(d2)
+        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        idx = np.argpartition(d, k, axis=1)[:, :k]
+        knn_i[lo:hi] = idx
+        knn_d[lo:hi] = np.take_along_axis(d, idx, axis=1)
+    pdist = extent * np.sqrt((knn_d**2).sum(axis=1) / k)
+    ev = pdist[knn_i].mean(axis=1)
+    plof = pdist / np.where(ev == 0.0, 1e-8, ev) - 1.0
+    nplof = extent * math.sqrt(float(np.mean(plof**2)))
+    return np.array(
+        [max(0.0, math.erf(p / (nplof * math.sqrt(2.0)))) for p in plof]
+    )
+
+
+def test_partition_scale_fit_bounded_memory_and_exact_zeros() -> None:
+    """A 3,072 x 22 fit (the shape of a 3,072-partition stat table) takes
+    the BLAS distance form: scores match a per-feature brute force,
+    duplicate rows are at distance exactly 0.0, and the fit's
+    temporaries stay at (chunk, points) size."""
+    import tracemalloc
+
+    from pynomaly_ray.loop_core import core
+
+    n, f, k = 3072, 22, 10
+    assert core._CHUNK_ROWS * n * f >= core._GEMM_MIN_CELLS
+    rng = np.random.RandomState(11)
+    X = rng.randn(n, f) * rng.uniform(0.1, 5.0, f) + rng.uniform(-3, 3, f)
+    twins = [(10, 3000), (11, 12), (500, 2900), (1024, 1025)]
+    for src, dst in twins:
+        X[dst] = X[src]
+
+    tracemalloc.start()
+    try:
+        model = LocalOutlierProbability(X, n_neighbors=k, extent=3).fit()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+    np.testing.assert_allclose(
+        scores_of(model), _per_feature_brute_force_loop(X, k, 3),
+        rtol=0, atol=1e-9,
+    )
+    dist, nbr = model.distance_matrix, model.neighbor_matrix
+    for a, b in twins:
+        for row, twin in ((a, b), (b, a)):
+            assert dist[row][nbr[row] == twin].tolist() == [0.0]
+    assert peak_mb <= 32, f"fit peak {peak_mb:.1f} MB"

@@ -115,13 +115,15 @@ def test_minhash_state_compaction_preserves_pairs(ray_session, tmp_path):
     kw = dict(n_perm=64, n_bands=16, jaccard_threshold=0.6)
     state = str(tmp_path / "state")
     for i, c in enumerate(corpora, 1):
-        minhash_lsh_duplicates_incremental(rd.from_pandas(c), state, f"r{i}", **kw)
+        minhash_lsh_duplicates_incremental(
+            rd.from_pandas(c), state, f"r{i}", commit=True, **kw
+        )
 
     # control: run4 over the UNCOMPACTED state (on a copy)
     ctrl = str(tmp_path / "ctrl")
     shutil.copytree(state, ctrl)
     p4_ctrl = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(final), ctrl, "r4", **kw
+        rd.from_pandas(final), ctrl, "r4", commit=True, **kw
     )
 
     summary = compact_minhash_state(state)
@@ -135,7 +137,9 @@ def test_minhash_state_compaction_preserves_pairs(ray_session, tmp_path):
     bands = pq.read_table(os.path.join(root, summary["target"])).to_pandas()
     assert set(bands["doc_id"]) == {"a1", "a2", "b1", "c1"}
 
-    p4 = minhash_lsh_duplicates_incremental(rd.from_pandas(final), state, "r4", **kw)
+    p4 = minhash_lsh_duplicates_incremental(
+        rd.from_pandas(final), state, "r4", commit=True, **kw
+    )
     assert set(zip(p4.doc_a, p4.doc_b)) == set(zip(p4_ctrl.doc_a, p4_ctrl.doc_b))
     assert any("d1" in p for p in zip(p4.doc_a, p4.doc_b))
 
@@ -167,11 +171,13 @@ def test_minhash_state_compaction_ignores_uncommitted(ray_session, tmp_path):
         ignore_index=True,
     )
     state = str(tmp_path / "state")
-    minhash_lsh_duplicates_incremental(rd.from_pandas(docs1), state, "r1")
-    minhash_lsh_duplicates_incremental(rd.from_pandas(docs2), state, "r2")
     minhash_lsh_duplicates_incremental(
-        rd.from_pandas(docs3), state, "crashed", commit=False
+        rd.from_pandas(docs1), state, "r1", commit=True
     )
+    minhash_lsh_duplicates_incremental(
+        rd.from_pandas(docs2), state, "r2", commit=True
+    )
+    minhash_lsh_duplicates_incremental(rd.from_pandas(docs3), state, "crashed")
     summary = compact_minhash_state(state)
     assert summary["compacted_runs"] == 2
     root = os.path.join(state, "bands")

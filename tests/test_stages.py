@@ -1060,13 +1060,13 @@ def test_minhash_incremental_cross_run(ray_session, tmp_path):
 
     kw = dict(n_perm=64, n_bands=16, jaccard_threshold=0.65)
     p1 = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(run1_docs), state, "run1", **kw
+        rd.from_pandas(run1_docs), state, "run1", commit=True, **kw
     )
     got1 = set(zip(p1.doc_a, p1.doc_b))
     assert ("a1", "a2") in got1
 
     p2 = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(full), state, "run2", **kw
+        rd.from_pandas(full), state, "run2", commit=True, **kw
     )
     got2 = set(zip(p2.doc_a, p2.doc_b))
     assert ("a1", "a2") not in got2          # prior-prior suppressed
@@ -1084,14 +1084,14 @@ def test_minhash_incremental_cross_run(ray_session, tmp_path):
 
     # retry of run2 is idempotent
     p2b = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(full), state, "run2", **kw
+        rd.from_pandas(full), state, "run2", commit=True, **kw
     )
     assert set(zip(p2b.doc_a, p2b.doc_b)) == got2
 
     # an UNCOMMITTED run3 (marker removed) must not suppress anything:
     # run4 re-emits run3-would-have-owned pairs
     p3 = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(full), state, "run3", **kw
+        rd.from_pandas(full), state, "run3", commit=True, **kw
     )
     assert set(zip(p3.doc_a, p3.doc_b)) == set()  # no new docs -> no pairs
     os.remove(os.path.join(state, "bands", ".commit-run3"))
@@ -1100,7 +1100,7 @@ def test_minhash_incremental_cross_run(ray_session, tmp_path):
         ignore_index=True,
     )
     p4 = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(more), state, "run4", **kw
+        rd.from_pandas(more), state, "run4", commit=True, **kw
     )
     got4 = set(zip(p4.doc_a, p4.doc_b))
     assert any("c1" in pair for pair in got4)  # the new exact dup surfaces
@@ -1149,7 +1149,7 @@ def test_cli_dedup_minhash_incremental_state(ray_session, tmp_path):
 
 
 def test_minhash_incremental_commit_separation(ray_session, tmp_path):
-    """commit=False leaves the run untrusted (no marker) so a crash
+    """By default the run is left untrusted (no marker) so a crash
     before the caller's durable pair write cannot suppress pairs; the
     explicit commit_run_state marks it afterwards.  A params
     mismatch against pinned state raises."""
@@ -1164,9 +1164,7 @@ def test_minhash_incremental_commit_separation(ray_session, tmp_path):
 
     docs = pd.DataFrame({"doc_id": ["x1", "x2"], "text": ["alpha " * 10, "beta " * 10]})
     state = str(tmp_path / "state")
-    minhash_lsh_duplicates_incremental(
-        rd.from_pandas(docs), state, "r1", commit=False
-    )
+    minhash_lsh_duplicates_incremental(rd.from_pandas(docs), state, "r1")
     assert not os.path.exists(os.path.join(state, "bands", ".commit-r1"))
     assert os.path.isdir(os.path.join(state, "bands", "r1"))  # bands written
     commit_run_state(state, "r1")
