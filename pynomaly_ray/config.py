@@ -93,7 +93,7 @@ class ValidationConfig:
     drift_threshold: float = 0.5
     # LoOP cluster grouping key for partition-stat rows; None = one cluster.
     cluster_by_source: bool = False
-    # Shuffle tuning
+    # Rows per validator kernel call (Stage A cuts each block into these)
     batch_size: int = 4096
     salt_buckets: int = 16  # skew salting for the doc_id uniqueness shuffle
     # Stage-B adaptivity: tagged streams at or below this size are reduced

@@ -2,14 +2,16 @@
 
 Engine shape (SURVEY.md §3 "Engine shape of the same lifecycle"):
 
-  Stage A  read_parquet -> map_batches(SequenceValidator)   [stateless scan]
+  Stage A  Read->MapBatches(SequenceValidator), fused: one stateless
+           task per input file decodes it and validates it in place
            -> ONE pass producing a tagged stream of violation rows,
            per-partition partial stats, and uniqueness pre-aggregates
+           (a resumed run drops the rows of partitions in the manifest
+           with an ``is_in`` filter on partition_id, after decode)
   Stage B  (a) doc_id uniqueness totals; (b) per-partition stats merge
   Stage C  tiny partition-stat table -> exact LoOP fit (loop_core) with
            extent/k per config; loop_score > threshold => drift fail
   Stage D  per-partition pass/fail report + violation parquet + manifest
-           (resume skips completed partitions via a broadcast anti-join)
 
 The input is read exactly once; only the small tagged stream crosses the
 scan boundary.  Stage B is **size-adaptive**: the tagged stream is
@@ -46,9 +48,17 @@ from pynomaly_ray.config import (
     VIOLATION_SCHEMA,
     ValidationConfig,
 )
-from pynomaly_ray.functions.exchange import anti_membership, hash_aggregate
+from pynomaly_ray.functions.exchange import (
+    anti_membership,
+    auto_num_partitions,
+    hash_aggregate,
+)
 from pynomaly_ray.functions.hashing import digest_floats
-from pynomaly_ray.sources.parquet import parquet_files, read_parquet_clean
+from pynomaly_ray.sources.parquet import (
+    SequenceParquetDatasource,
+    parquet_files,
+    read_parquet_clean,
+)
 from pynomaly_ray.stages.stats import finalize_stat_vectors, merge_partials_df
 from pynomaly_ray.stages.uniqueness import (
     bulk_emit_violations,
@@ -224,6 +234,12 @@ _MAX_DRIVER_VIOLATIONS = 2_000_000
 
 def _post_scan_distributed(tagged, cfg, out_dir, resume):
     """Same reductions via distributed exchanges (the 10^12-row path)."""
+    # The fused scan leaves one tagged block per input file, and each
+    # map and exchange split below costs a task per block: coalesce the
+    # stream once, to the exchange's own fan-out for its volume.
+    n_blocks = auto_num_partitions(tagged.size_bytes() or 0)
+    if tagged.num_blocks() > n_blocks:
+        tagged = tagged.repartition(n_blocks).materialize()
     viol_ds = tagged.map_batches(
         split_union("violation", _VIOL_COLS), batch_format="pyarrow"
     )
@@ -332,16 +348,10 @@ def run_validation(
                 "Pick a fresh run_id for every run against an out_dir."
             )
 
-    skipped = 0
-    done: frozenset = frozenset()
-    if out_dir and resume:
-        done = completed_partitions(out_dir)
-        skipped = len(done)
-        ds = _filter_completed(ds, done)
-
     # ---- Pre-flight: fail fast on a mistyped input table ----
-    # (schema comes from parquet metadata; when unavailable without
-    # executing — e.g. an in-memory transform chain — the row-level
+    # (the schema comes from the Parquet footers of a
+    # sequence_dataset_from_dir read or from in-memory blocks; behind a
+    # map stage it is unknown without executing, and the row-level
     # checks still catch everything, just later)
     try:
         rs = ds.schema(fetch_if_missing=False)
@@ -360,22 +370,25 @@ def run_validation(
                 + "; ".join(problems)
             )
 
+    skipped = 0
+    done: frozenset = frozenset()
+    if out_dir and resume:
+        done = completed_partitions(out_dir)
+        skipped = len(done)
+        ds = _filter_completed(ds, done)
+
     # ---- Stage A: ONE scan -> tagged violations + partials + docparts ----
-    # The validator's state (source set, vocab bound) is cheap, so this
-    # runs as stateless tasks: parallelism tracks CPUs instantly with no
-    # actor-pool ramp-up.  A stage with EXPENSIVE state (model, index)
-    # should instead pass the class + fn_constructor_kwargs (actor pool),
-    # as Tokenizer / ImageFeatures do.
+    # No batch_size on this map: Ray fuses it into the read, so each read
+    # task decodes its file and validates it in place, and only the small
+    # tagged stream reaches the object store.  The validator cuts each
+    # block into kernel calls of cfg.batch_size rows.
     validator = SequenceValidator(
         valid_sources=cfg.valid_sources,
         vocab_size=cfg.vocab_size,
         salt_buckets=cfg.salt_buckets,
-    )
-    tagged = ds.map_batches(
-        validator,
-        batch_format="pyarrow",
         batch_size=cfg.batch_size,
-    ).materialize()
+    )
+    tagged = ds.map_batches(validator, batch_format="pyarrow").materialize()
 
     # ---- Stage B: size-adaptive reduction of the tagged stream ----
     if (tagged.size_bytes() or 0) <= cfg.driver_collect_bytes:
@@ -666,14 +679,16 @@ def write_validated_output(
     )
 
 
-def sequence_dataset_from_dir(path: str, rows_per_block: int = 32768):
+def sequence_dataset_from_dir(path: str):
     """Read a partitioned sequence-table directory written by datagen.
 
-    At least one read task per file (parquet decode parallelizes across
-    files, never within a task), and more for very large files; capped
-    so tiny inputs don't shatter into scheduling confetti.
+    One read task per file, planned from the Parquet footers
+    (``SequenceParquetDatasource``): a ``map_batches`` without
+    ``batch_size`` runs inside the read task, as Stage A does.
     """
     files = parquet_files(path)
-    total = sum(pq.read_metadata(f).num_rows for f in files)
-    blocks = max(len(files), min(1024, total // rows_per_block + 1))
-    return read_parquet_clean(files, override_num_blocks=blocks)
+    if not files:
+        raise ValueError(f"no *.parquet files in {path!r}")
+    return rd.read_datasource(
+        SequenceParquetDatasource(files), override_num_blocks=len(files)
+    )

@@ -1,4 +1,7 @@
-"""Shared parquet -> Dataset reader with two fixes applied at the source:
+"""Parquet -> Dataset readers.
+
+``read_parquet_clean`` is the shared reader (filter pushdown, hive
+partition columns), with two fixes applied at the source:
 
 - block count sized to the data (Ray's default shatters small files into
   ~2x-num-CPU blocks, so scheduling dominates on small tables);
@@ -8,15 +11,23 @@
   schema-dedup log ``Failed to hash the schemas`` from every map worker
   and slows its unify fast path.  The strip is zero-copy and fuses with
   the downstream map stage.
+
+``SequenceParquetDatasource`` is the sequence scan's reader: planned from
+the Parquet footers alone, one read task per file, so that a following
+``map_batches`` without ``batch_size`` fuses into the read task.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray.data as rd
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 
 def strip_schema_metadata(t: pa.Table) -> pa.Table:
@@ -62,3 +73,67 @@ def read_parquet_clean(
     return ds.map_batches(
         strip_schema_metadata, batch_format="pyarrow", zero_copy_batch=True
     )
+
+
+def _read_row_groups(path: str):
+    """One block per row group of ``path``, schema metadata stripped."""
+    pf = pq.ParquetFile(path)
+    for i in range(pf.num_row_groups):
+        yield pf.read_row_group(i).replace_schema_metadata(None)
+
+
+def _schema_diff(a: pa.Schema, b: pa.Schema) -> str:
+    def typ(s, name):
+        i = s.get_field_index(name)
+        return str(s.field(i).type) if i >= 0 else "missing"
+
+    names = dict.fromkeys(a.names + b.names)
+    diff = [f"{n} {typ(a, n)} vs {typ(b, n)}" for n in names if typ(a, n) != typ(b, n)]
+    return "; ".join(diff) or f"{a} vs {b}"
+
+
+class SequenceParquetDatasource(Datasource):
+    """Whole Parquet files, one ``ReadTask`` per file, planned from the
+    footers on the driver.
+
+    Every task carries its file's exact row count, uncompressed size and
+    path, and the schema all footers share (metadata stripped), so Ray
+    needs no metadata-prefetch or sampling tasks to plan the read.  Files
+    whose footers disagree on the schema are refused here, before any
+    scan.  A file is read one row group at a time, one block each.
+    """
+
+    def __init__(self, files: list[str]):
+        self._files = list(files)
+        self._rows, self._bytes = [], []
+        schema = None
+        for f in self._files:
+            md = pq.read_metadata(f)
+            self._rows.append(md.num_rows)
+            self._bytes.append(
+                sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+            )
+            s = md.schema.to_arrow_schema().remove_metadata()
+            if schema is None:
+                schema, first = s, f
+            elif not s.equals(schema):
+                raise ValueError(
+                    f"parquet footers disagree on the schema: {f} vs {first}: "
+                    + _schema_diff(s, schema)
+                )
+        self._schema = schema
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(self._bytes)
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        return [
+            ReadTask(
+                functools.partial(_read_row_groups, f),
+                BlockMetadata(
+                    num_rows=rows, size_bytes=nbytes, input_files=[f], exec_stats=None
+                ),
+                schema=self._schema,
+            )
+            for f, rows, nbytes in zip(self._files, self._rows, self._bytes)
+        ]

@@ -1,18 +1,20 @@
 """Stage A: the single-scan validator — constraints, stats, and the
 uniqueness pre-aggregation in ONE pass over the input.
 
-A callable class (actor pool) for ``ds.map_batches(SequenceValidator,
-batch_format="pyarrow", concurrency=N)``: per-actor setup (broadcast
-source universe via ``ray.put``/``ray.get``) happens once in ``__init__``
-(SURVEY.md §2.3), per-batch work is fully vectorized.
+A callable for ``ds.map_batches(validator, batch_format="pyarrow")``
+without ``batch_size``: Ray fuses it into the read, so it runs as
+stateless tasks, one per input file, each validating the blocks its file
+decodes.  The validator's state (source set, vocab bound) is small and
+pickled into every task.  Each block is cut into kernel calls of at most
+``batch_size`` rows, which bounds the kernel's temporaries whatever the
+row-group size.
 
 The output stream is a tagged union of three row kinds:
 
   - ``violation``: sparse constraint-violation rows;
   - ``partial``:   tiny per-partition partial-stat rows (stages/stats.py);
   - ``docpart``:   batch-level (doc_id, partition_id, cnt, salt) partials
-                   feeding the salted uniqueness shuffle
-                   (stages/uniqueness.py).
+                   feeding the uniqueness reduction (stages/uniqueness.py).
 
 Only these small streams cross the stage boundary — the wide ``tokens``
 payload never leaves the scan, and the input is read exactly once.  This
@@ -60,11 +62,8 @@ def _pad_to_union(t: pa.Table, kind: str) -> pa.Table:
 
 
 class SequenceValidator:
-    """Constraint + partial-stats + uniqueness-partial kernel.
-
-    Constructor args may be plain values or ``ray.ObjectRef`` (broadcast
-    once with ``ray.put``, fetched once per actor — never per batch).
-    """
+    """Constraint + partial-stats + uniqueness-partial kernel, applied to
+    slices of at most ``batch_size`` rows (``None``: the whole batch)."""
 
     def __init__(
         self,
@@ -72,27 +71,34 @@ class SequenceValidator:
         vocab_size: Optional[int] = None,
         emit_docparts: bool = True,
         salt_buckets: int = 16,
+        batch_size: Optional[int] = None,
     ):
-        import ray
-
-        def _unwrap(x):
-            return ray.get(x) if isinstance(x, ray.ObjectRef) else x
-
-        valid_sources = _unwrap(valid_sources)
         self.valid_sources = (
             frozenset(valid_sources) if valid_sources is not None else None
         )
-        # Arrow value set built ONCE per actor, not per batch
+        # Arrow value set built ONCE per validator, not per batch
         self.valid_sources_arr = (
             pa.array(sorted(self.valid_sources), pa.string())
             if self.valid_sources is not None
             else None
         )
-        self.vocab_size = _unwrap(vocab_size)
-        self.emit_docparts = _unwrap(emit_docparts)
-        self.salt_buckets = _unwrap(salt_buckets)
+        self.vocab_size = vocab_size
+        self.emit_docparts = emit_docparts
+        self.salt_buckets = salt_buckets
+        self.batch_size = batch_size
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        step = self.batch_size or batch.num_rows
+        if batch.num_rows <= step:
+            return self._validate(batch)
+        return pa.concat_tables(
+            [
+                self._validate(batch.slice(i, step))
+                for i in range(0, batch.num_rows, step)
+            ]
+        )
+
+    def _validate(self, batch: pa.Table) -> pa.Table:
         violations, valid_mask = check_sequence_batch(
             batch,
             self.valid_sources,

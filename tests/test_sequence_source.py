@@ -1,0 +1,283 @@
+"""The footer-planned sequence source and the fused Stage A scan.
+
+``sequence_dataset_from_dir`` reads through ``SequenceParquetDatasource``:
+one read task per file, planned from the footers, so Stage A's validator
+runs inside the read task.  These tests pin the source's contract
+(rows, per-task metadata, schema agreement), the fused plan, the schema
+pre-flight, and the distributed Stage B over one tagged block per file.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+
+from pynomaly_ray.config import ValidationConfig
+from pynomaly_ray.sources.datagen import (
+    SOURCES,
+    GenSpec,
+    generate_partition,
+    plant_violations,
+)
+
+SPEC = GenSpec(parts_per_source=10, rows_per_part=64)
+MULTI_RG = "part-books-0003.parquet"  # written in 16-row row groups
+EMPTY = "part-zz-empty.parquet"  # zero rows
+CFG = dict(valid_sources=list(SOURCES), n_neighbors=10, extent=3, drift_threshold=0.5)
+SORT_KEYS = [("partition_id", "ascending"), ("doc_id", "ascending"), ("n_tok", "ascending")]
+
+
+def _partitions() -> dict[str, pa.Table]:
+    tables = {
+        f"{s}-{p:04d}": generate_partition(s, p, SPEC)
+        for s in SPEC.sources
+        for p in range(SPEC.parts_per_source)
+    }
+    plant_violations(tables, SPEC)
+    return tables
+
+
+def _write_dir(path, tables: dict[str, pa.Table]) -> str:
+    os.makedirs(path, exist_ok=True)
+    for key, t in tables.items():
+        name = f"part-{key}.parquet"
+        pq.write_table(t, os.path.join(path, name), row_group_size=16 if name == MULTI_RG else None)
+    first = next(iter(tables.values()))
+    pq.write_table(first.slice(0, 0), os.path.join(path, EMPTY))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def seq_dir(tmp_path_factory, ray_session):
+    return _write_dir(tmp_path_factory.mktemp("seqsrc"), _partitions())
+
+
+@pytest.fixture(scope="module")
+def files(seq_dir):
+    from pynomaly_ray.sources.parquet import parquet_files
+
+    out = parquet_files(seq_dir)
+    assert len(out) > 24  # past Ray's threshold for parallel footer fetches
+    return out
+
+
+def _task_log(monkeypatch) -> list[str]:
+    """Names of the Ray tasks this process submits from now on."""
+    from ray.remote_function import RemoteFunction
+
+    names: list[str] = []
+    real = RemoteFunction._remote
+
+    def remote(fn_self, *args, **kwargs):
+        names.append(fn_self._function.__name__)
+        return real(fn_self, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", remote)
+    return names
+
+
+def _spy_stage_b(monkeypatch, name: str) -> dict:
+    """Record the tagged stream handed to a Stage B reduction."""
+    import pynomaly_ray.pipelines.validation as V
+
+    seen: dict = {}
+    real = getattr(V, name)
+
+    def spy(tagged, *rest):
+        seen.update(stats=tagged.stats(), blocks=tagged.num_blocks(), bytes=tagged.size_bytes())
+        return real(tagged, *rest)
+
+    monkeypatch.setattr(V, name, spy)
+    return seen
+
+
+def _validate(ds, **kw):
+    from pynomaly_ray.pipelines.validation import run_validation
+
+    return run_validation(ds, ValidationConfig(**CFG, **kw))
+
+
+def _table(ds) -> pa.Table:
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def test_rows_equal_read_parquet_clean(files, seq_dir):
+    from pynomaly_ray.pipelines.validation import sequence_dataset_from_dir
+    from pynomaly_ray.sources.parquet import read_parquet_clean
+
+    ours = _table(sequence_dataset_from_dir(seq_dir))
+    theirs = _table(read_parquet_clean(files))
+    assert ours.num_rows == sum(pq.read_metadata(f).num_rows for f in files)
+    assert ours.schema.metadata is None
+    assert ours.schema == theirs.schema
+    assert ours.sort_by(SORT_KEYS).equals(theirs.sort_by(SORT_KEYS))
+
+
+def test_empty_directory_refused(tmp_path):
+    from pynomaly_ray.pipelines.validation import sequence_dataset_from_dir
+
+    with pytest.raises(ValueError, match="no \\*.parquet files"):
+        sequence_dataset_from_dir(str(tmp_path))
+
+
+def test_read_tasks_carry_their_footer(files):
+    """One task per file, its metadata read off the footer, and one block
+    per row group when the task runs."""
+    from pynomaly_ray.sources.parquet import SequenceParquetDatasource
+
+    tasks = SequenceParquetDatasource(files).get_read_tasks(1)
+    assert len(tasks) == len(files)
+    for f, task in zip(files, tasks):
+        md = pq.read_metadata(f)
+        groups = [md.row_group(i) for i in range(md.num_row_groups)]
+        assert task.metadata.num_rows == md.num_rows
+        assert task.metadata.size_bytes == sum(g.total_byte_size for g in groups)
+        assert task.metadata.input_files == [f]
+        assert task.schema == md.schema.to_arrow_schema().remove_metadata()
+        blocks = list(task())
+        assert [b.num_rows for b in blocks] == [g.num_rows for g in groups]
+        assert all(b.schema == task.schema for b in blocks)
+    by_name = {os.path.basename(f): t for f, t in zip(files, tasks)}
+    assert len(list(by_name[MULTI_RG]())) == 4
+    assert by_name[EMPTY].metadata.num_rows == 0
+
+
+def test_stage_a_is_one_fused_task_per_file(files, seq_dir, monkeypatch):
+    """Stage A runs as ONE operator, the read with the validator fused
+    in, one task per file; no footer-prefetch or sampling task runs."""
+    from pynomaly_ray.pipelines.validation import sequence_dataset_from_dir
+    from pynomaly_ray.sources.parquet import read_parquet_clean
+
+    seen = _spy_stage_b(monkeypatch, "_post_scan_local")
+    log = _task_log(monkeypatch)
+    _validate(sequence_dataset_from_dir(seq_dir))
+    ops = [ln for ln in seen["stats"].splitlines() if ln.startswith("Operator ")]
+    assert len(ops) == 1, seen["stats"]
+    assert ops[0].startswith(
+        f"Operator 1 ReadSequenceParquet->MapBatches(SequenceValidator): "
+        f"{len(files)} tasks executed"
+    ), ops[0]
+    stray = {"_sample_fragment", "_fetch_metadata_serialization_wrapper"}
+    assert log and not stray & set(log), sorted(set(log))
+
+    # the same detector sees Ray's own parquet reader start those tasks
+    log.clear()
+    read_parquet_clean(files).materialize()
+    assert stray & set(log), sorted(set(log))
+
+
+def test_report_and_violations_equal_read_parquet_clean_input(files, seq_dir):
+    from pynomaly_ray.pipelines.validation import sequence_dataset_from_dir
+    from pynomaly_ray.sources.parquet import read_parquet_clean
+
+    ours = _validate(sequence_dataset_from_dir(seq_dir))
+    theirs = _validate(read_parquet_clean(files))
+    assert ours.violations.num_rows == 9  # the planted ones
+    assert ours.violations.equals(theirs.violations)
+    assert ours.report.equals(theirs.report)
+    assert ours.n_sequences == theirs.n_sequences
+
+
+def test_kernel_slices_do_not_change_the_result(seq_dir):
+    """The validator cuts each block into kernel calls of cfg.batch_size
+    rows; any slice size gives the same report and violations."""
+    from pynomaly_ray.pipelines.validation import sequence_dataset_from_dir
+
+    whole = _validate(sequence_dataset_from_dir(seq_dir))
+    sliced = _validate(sequence_dataset_from_dir(seq_dir), batch_size=7)
+    assert sliced.violations.equals(whole.violations)
+    assert sliced.report.equals(whole.report)
+
+
+def test_validator_cuts_blocks_into_batch_size_slices():
+    """One kernel call per ``batch_size`` rows: a one-partition block of
+    64 rows cut in 10-row slices yields 7 partial-stat rows, one per call."""
+    from pynomaly_ray.stages.validate import SequenceValidator
+
+    block = generate_partition("web", 2, SPEC)
+    kinds = lambda out: pc.value_counts(out["kind"]).to_pylist()  # noqa: E731
+    whole = SequenceValidator(valid_sources=list(SOURCES), vocab_size=SPEC.vocab_size)
+    sliced = SequenceValidator(
+        valid_sources=list(SOURCES), vocab_size=SPEC.vocab_size, batch_size=10
+    )
+    assert {"values": "partial", "counts": 1} in kinds(whole(block))
+    assert {"values": "partial", "counts": 7} in kinds(sliced(block))
+    assert sliced(block.slice(0, 0)).num_rows == 0
+
+
+@pytest.mark.parametrize(
+    "column, arr",
+    [
+        ("n_tok", lambda t: pc.cast(t["n_tok"], pa.string())),
+        ("tokens", lambda t: pc.cast(t["tokens"], pa.list_(pa.int64()))),
+    ],
+)
+def test_disagreeing_footers_refused_before_any_scan(tmp_path, monkeypatch, column, arr):
+    """One file of many with a mistyped column: the source refuses the
+    directory while planning, naming the column, and no task runs."""
+    from pynomaly_ray.pipelines.validation import sequence_dataset_from_dir
+
+    tables = _partitions()
+    key = sorted(tables)[17]
+    t = tables[key]
+    tables[key] = t.set_column(t.schema.get_field_index(column), column, arr(t))
+    d = _write_dir(tmp_path / "mixed", tables)
+    log = _task_log(monkeypatch)
+    with pytest.raises(ValueError, match=f"disagree on the schema.*{column}"):
+        _validate(sequence_dataset_from_dir(d))
+    assert log == []
+
+
+def test_schema_preflight_fails_before_any_scan(tmp_path, monkeypatch):
+    """Every file mistyped alike: the footers agree, and run_validation's
+    pre-flight refuses the table before Stage A reads a byte."""
+    from pynomaly_ray.pipelines.validation import sequence_dataset_from_dir
+
+    tables = {
+        k: t.set_column(
+            t.schema.get_field_index("n_tok"), "n_tok", pc.cast(t["n_tok"], pa.int64())
+        )
+        for k, t in _partitions().items()
+    }
+    ds = sequence_dataset_from_dir(_write_dir(tmp_path / "wide", tables))
+    log = _task_log(monkeypatch)
+    with pytest.raises(ValueError, match="n_tok has type int64, expected int32"):
+        _validate(ds)
+    assert log == []
+
+
+def test_distributed_stage_b_over_many_files(files, seq_dir, monkeypatch):
+    """driver_collect_bytes=0 over one tagged block per file: the same
+    report and violations as the local path, and the stream is coalesced
+    to the exchange fan-out before the split maps, not kept per file."""
+    import pynomaly_ray.pipelines.validation as V
+    from pynomaly_ray.functions.exchange import auto_num_partitions
+
+    local = _validate(V.sequence_dataset_from_dir(seq_dir))
+
+    tagged = _spy_stage_b(monkeypatch, "_post_scan_distributed")
+    split_blocks = []
+    real = V.hash_aggregate
+
+    def spy(ds, *rest):
+        ds = ds.materialize()
+        split_blocks.append(ds.num_blocks())
+        return real(ds, *rest)
+
+    monkeypatch.setattr(V, "hash_aggregate", spy)
+    dist = _validate(V.sequence_dataset_from_dir(seq_dir), driver_collect_bytes=0)
+
+    assert tagged["blocks"] >= len(files) - 1  # one per file, bar the empty one
+    want = auto_num_partitions(tagged["bytes"])
+    assert want < tagged["blocks"]
+    assert split_blocks == [want]
+    pd.testing.assert_frame_equal(local.violations.to_pandas(), dist.violations.to_pandas())
+    cols = [c for c in local.report.column_names if c not in ("lineage", "stat_vector")]
+    assert local.report.select(cols).equals(dist.report.select(cols))
