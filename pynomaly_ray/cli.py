@@ -6,8 +6,10 @@
 
     python -m pynomaly_ray.cli gen --out /tmp/seq --parts 16 --rows 256
 
-Owns the Ray session (guarded init), unlike the library code which
-never calls ray.init (driver contract).
+Owns the Ray session (guarded init), unlike the library code, which
+never configures one (driver contract): ``sequence_dataset_from_dir``
+only starts Ray's default session, the one its read would start, when
+none exists.
 """
 
 from __future__ import annotations

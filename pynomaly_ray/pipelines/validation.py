@@ -2,8 +2,9 @@
 
 Engine shape (SURVEY.md §3 "Engine shape of the same lifecycle"):
 
-  Stage A  Read->MapBatches(SequenceValidator), fused: one stateless
-           task per input file decodes it and validates it in place
+  Stage A  Read->MapBatches(SequenceValidator), fused: each stateless
+           read task (a run of input files balanced by bytes, about two
+           per cluster CPU) decodes its files and validates them in place
            -> ONE pass producing a tagged stream of violation rows,
            per-partition partial stats, and uniqueness pre-aggregates
            (a resumed run drops the rows of partitions in the manifest
@@ -28,6 +29,7 @@ with ``driver_collect_bytes=0``.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 from dataclasses import dataclass
@@ -44,7 +46,6 @@ import ray.data as rd
 
 from pynomaly_ray.config import (
     PARTITION_REPORT_SCHEMA,
-    SEQUENCE_SCHEMA,
     VIOLATION_SCHEMA,
     ValidationConfig,
 )
@@ -59,6 +60,7 @@ from pynomaly_ray.sources.parquet import (
     parquet_files,
     read_parquet_clean,
 )
+from pynomaly_ray.stages.constraints import require_sequence_schema
 from pynomaly_ray.stages.stats import finalize_stat_vectors, merge_partials_df
 from pynomaly_ray.stages.uniqueness import (
     bulk_emit_violations,
@@ -234,7 +236,7 @@ _MAX_DRIVER_VIOLATIONS = 2_000_000
 
 def _post_scan_distributed(tagged, cfg, out_dir, resume):
     """Same reductions via distributed exchanges (the 10^12-row path)."""
-    # The fused scan leaves one tagged block per input file, and each
+    # The fused scan leaves one tagged block per read task, and each
     # map and exchange split below costs a task per block: coalesce the
     # stream once, to the exchange's own fan-out for its volume.
     n_blocks = auto_num_partitions(tagged.size_bytes() or 0)
@@ -351,24 +353,14 @@ def run_validation(
     # ---- Pre-flight: fail fast on a mistyped input table ----
     # (the schema comes from the Parquet footers of a
     # sequence_dataset_from_dir read or from in-memory blocks; behind a
-    # map stage it is unknown without executing, and the row-level
-    # checks still catch everything, just later)
+    # map stage it is unknown without executing, and SequenceValidator
+    # then refuses the first mistyped block inside Stage A)
     try:
         rs = ds.schema(fetch_if_missing=False)
-        actual_schema = (
-            pa.schema(zip(rs.names, rs.types)) if rs is not None else None
-        )
     except Exception:
-        actual_schema = None
-    if actual_schema is not None:
-        from pynomaly_ray.stages.constraints import schema_conformance_violations
-
-        problems = schema_conformance_violations(actual_schema, SEQUENCE_SCHEMA)
-        if problems:
-            raise ValueError(
-                "input table does not conform to the sequence schema: "
-                + "; ".join(problems)
-            )
+        rs = None
+    if rs is not None:
+        require_sequence_schema(pa.schema(zip(rs.names, rs.types)))
 
     skipped = 0
     done: frozenset = frozenset()
@@ -379,7 +371,7 @@ def run_validation(
 
     # ---- Stage A: ONE scan -> tagged violations + partials + docparts ----
     # No batch_size on this map: Ray fuses it into the read, so each read
-    # task decodes its file and validates it in place, and only the small
+    # task decodes its files and validates them in place, and only the small
     # tagged stream reaches the object store.  The validator cuts each
     # block into kernel calls of cfg.batch_size rows.
     validator = SequenceValidator(
@@ -388,7 +380,17 @@ def run_validation(
         salt_buckets=cfg.salt_buckets,
         batch_size=cfg.batch_size,
     )
-    tagged = ds.map_batches(validator, batch_format="pyarrow").materialize()
+    tagged = ds.map_batches(validator, batch_format="pyarrow")
+    # A block the validator refuses (a mistyped input) fails the run with
+    # its ValueError, not Ray's UserCodeException wrapper.  The context is
+    # the caller's dataset's too, so the flag is put back afterwards.
+    ctx = tagged.context
+    wrapped = ctx.raise_original_map_exception
+    ctx.raise_original_map_exception = True
+    try:
+        tagged = tagged.materialize()
+    finally:
+        ctx.raise_original_map_exception = wrapped
 
     # ---- Stage B: size-adaptive reduction of the tagged stream ----
     if (tagged.size_bytes() or 0) <= cfg.driver_collect_bytes:
@@ -682,13 +684,28 @@ def write_validated_output(
 def sequence_dataset_from_dir(path: str):
     """Read a partitioned sequence-table directory written by datagen.
 
-    One read task per file, planned from the Parquet footers
-    (``SequenceParquetDatasource``): a ``map_batches`` without
-    ``batch_size`` runs inside the read task, as Stage A does.
+    Planned from the Parquet footers (``SequenceParquetDatasource``), one
+    read task per run of consecutive files balanced by bytes: a
+    ``map_batches`` without ``batch_size`` runs inside the read task, as
+    Stage A does.  The task count is Ray's own read rule without its
+    200-block floor: twice the cluster's CPUs, raised to keep blocks under
+    ``DataContext.target_max_block_size``, and at most one task per file.
     """
     files = parquet_files(path)
     if not files:
         raise ValueError(f"no *.parquet files in {path!r}")
+    source = SequenceParquetDatasource(files)
+    if not ray.is_initialized():
+        # the read below would start Ray with these defaults anyway; start
+        # it first so the plan counts the CPUs of the cluster that runs it
+        ray.init()
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    block_bytes = rd.DataContext.get_current().target_max_block_size  # None: no cap
+    by_bytes = (
+        math.ceil(source.estimate_inmemory_data_size() / block_bytes)
+        if block_bytes
+        else 1
+    )
     return rd.read_datasource(
-        SequenceParquetDatasource(files), override_num_blocks=len(files)
+        source, override_num_blocks=min(len(files), max(2 * cpus, by_bytes))
     )

@@ -13,13 +13,16 @@ partition columns), with two fixes applied at the source:
   the downstream map stage.
 
 ``SequenceParquetDatasource`` is the sequence scan's reader: planned from
-the Parquet footers alone, one read task per file, so that a following
-``map_batches`` without ``batch_size`` fuses into the read task.
+the Parquet footers alone, each read task a run of consecutive files
+balanced by bytes, so that a following ``map_batches`` without
+``batch_size`` fuses into the read task.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import os
 
 import pyarrow as pa
@@ -75,11 +78,30 @@ def read_parquet_clean(
     )
 
 
-def _read_row_groups(path: str):
-    """One block per row group of ``path``, schema metadata stripped."""
-    pf = pq.ParquetFile(path)
-    for i in range(pf.num_row_groups):
-        yield pf.read_row_group(i).replace_schema_metadata(None)
+def _read_row_groups(paths: list[str]):
+    """One block per row group of each file in ``paths``, in order,
+    schema metadata stripped."""
+    for path in paths:
+        with pq.ParquetFile(path) as pf:
+            for i in range(pf.num_row_groups):
+                yield pf.read_row_group(i).replace_schema_metadata(None)
+
+
+def _group_starts(sizes: list[int], k: int) -> list[int]:
+    """First index of each of ``k`` non-empty runs of consecutive
+    ``sizes`` (``k <= len(sizes)``), each cut at the boundary nearest to
+    its share ``j * sum / k``: a run holds at most ``sum / k`` plus the
+    largest size, or one item."""
+    cum = list(itertools.accumulate(sizes, initial=0))
+    starts = [0]
+    for j in range(1, k):
+        share = cum[-1] * j / k
+        i = bisect.bisect_left(cum, share)
+        if i and share - cum[i - 1] <= cum[i] - share:
+            i -= 1
+        # leave every run at least one item
+        starts.append(min(max(i, starts[-1] + 1), len(sizes) - (k - j)))
+    return starts
 
 
 def _schema_diff(a: pa.Schema, b: pa.Schema) -> str:
@@ -93,14 +115,16 @@ def _schema_diff(a: pa.Schema, b: pa.Schema) -> str:
 
 
 class SequenceParquetDatasource(Datasource):
-    """Whole Parquet files, one ``ReadTask`` per file, planned from the
-    footers on the driver.
+    """Whole Parquet files, planned from the footers on the driver.
 
-    Every task carries its file's exact row count, uncompressed size and
-    path, and the schema all footers share (metadata stripped), so Ray
-    needs no metadata-prefetch or sampling tasks to plan the read.  Files
-    whose footers disagree on the schema are refused here, before any
-    scan.  A file is read one row group at a time, one block each.
+    ``get_read_tasks(k)`` cuts the files, in the given order, into
+    ``min(k, files)`` runs of consecutive files balanced by their
+    uncompressed bytes, one ``ReadTask`` each.  Every task carries the
+    exact row count, uncompressed size and paths of its files, and the
+    schema all footers share (metadata stripped), so Ray needs no
+    metadata-prefetch or sampling tasks to plan the read.  Files whose
+    footers disagree on the schema are refused here, before any scan.  A
+    task reads its files one row group at a time, one block each.
     """
 
     def __init__(self, files: list[str]):
@@ -127,13 +151,18 @@ class SequenceParquetDatasource(Datasource):
         return sum(self._bytes)
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        n = len(self._files)
+        starts = _group_starts(self._bytes, min(parallelism, n))
         return [
             ReadTask(
-                functools.partial(_read_row_groups, f),
+                functools.partial(_read_row_groups, self._files[a:b]),
                 BlockMetadata(
-                    num_rows=rows, size_bytes=nbytes, input_files=[f], exec_stats=None
+                    num_rows=sum(self._rows[a:b]),
+                    size_bytes=sum(self._bytes[a:b]),
+                    input_files=self._files[a:b],
+                    exec_stats=None,
                 ),
                 schema=self._schema,
             )
-            for f, rows, nbytes in zip(self._files, self._rows, self._bytes)
+            for a, b in zip(starts, starts[1:] + [n])
         ]

@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pandas import isna as pd_isna
 
-from pynomaly_ray.config import VIOLATION_SCHEMA
+from pynomaly_ray.config import SEQUENCE_SCHEMA, VIOLATION_SCHEMA
 
 
 def _viol(doc_id, partition_id, check: str, detail) -> pa.Table:
@@ -192,11 +192,10 @@ def schema_conformance_violations(
     """Names of expected columns missing or mistyped in ``batch`` (an
     Arrow Table or a bare Schema).
 
-    Column-level (not row-level): run_validation's pre-flight calls this
-    on the input Dataset's schema to fail fast with a readable report on
-    a wrong table layout — the engine analogue of the reference's shape
-    validation (loop.py:224-255) — instead of opaque Arrow cast errors
-    mid-scan.
+    Column-level (not row-level): ``require_sequence_schema`` raises on
+    it to fail fast with a readable report on a wrong table layout — the
+    engine analogue of the reference's shape validation
+    (loop.py:224-255) — instead of opaque Arrow cast errors mid-scan.
     """
     sch = batch if isinstance(batch, pa.Schema) else batch.schema
     problems = []
@@ -208,3 +207,16 @@ def schema_conformance_violations(
             if actual != f.type:
                 problems.append(f"column {f.name} has type {actual}, expected {f.type}")
     return problems
+
+
+def require_sequence_schema(schema: pa.Schema) -> None:
+    """Raise ``ValueError`` naming every ``SEQUENCE_SCHEMA`` column that
+    ``schema`` lacks or mistypes.  run_validation calls it on the input's
+    planned schema, before any scan, and ``SequenceValidator`` on every
+    block, which covers inputs whose schema is unknown until they run."""
+    problems = schema_conformance_violations(schema, SEQUENCE_SCHEMA)
+    if problems:
+        raise ValueError(
+            "input table does not conform to the sequence schema: "
+            + "; ".join(problems)
+        )

@@ -28,6 +28,45 @@ from pynomaly_ray.config import (
 N_LEN_BUCKETS = MAX_TRACKED_LEN // 16
 
 
+def _token_histogram(
+    flat: np.ndarray,
+    codes: np.ndarray,
+    lengths: np.ndarray,
+    n_parts: int,
+    vocab_size: int,
+) -> np.ndarray:
+    """(n_parts, N_TOKEN_BUCKETS) counts of each partition's token ids by
+    bucket ``min(t * N_TOKEN_BUCKETS // vocab_size, N_TOKEN_BUCKETS - 1)``.
+
+    ``flat`` holds the batch's token ids row after row, ``lengths`` the
+    row lengths and ``codes`` each row's partition code.  When the vocab
+    is a multiple of the bucket count the bucket is ``t // width``, with
+    ``width = vocab_size // N_TOKEN_BUCKETS``, and no per-token int64
+    formula runs: one partition counts the raw ids and folds the counts
+    into buckets; several count one intp key per token, partition code
+    times the bucket count plus the bucket, built in place.  Ids at or
+    above the vocab (rows ``token_out_of_range`` let through) land in the
+    last bucket either way.
+    """
+    nb = N_TOKEN_BUCKETS
+    width = vocab_size // nb
+    if vocab_size % nb or not width:
+        bucket = (flat.astype(np.int64) * nb // max(vocab_size, 1)).clip(0, nb - 1)
+        if n_parts > 1:
+            bucket += np.repeat(codes * nb, lengths)
+        return np.bincount(bucket, minlength=n_parts * nb).reshape(n_parts, nb)
+    if n_parts == 1:
+        counts = np.bincount(flat, minlength=vocab_size)
+        hist = counts[:vocab_size].reshape(nb, width).sum(axis=1)
+        hist[-1] += counts[vocab_size:].sum()
+        return hist.reshape(1, nb)
+    bucket = flat // np.int32(width)
+    np.minimum(bucket, nb - 1, out=bucket)
+    key = np.repeat(codes * nb, lengths)
+    key += bucket
+    return np.bincount(key, minlength=n_parts * nb).reshape(n_parts, nb)
+
+
 def partial_stats_batch(
     batch: pa.Table, valid_mask: np.ndarray, vocab_size: int
 ) -> pa.Table:
@@ -72,30 +111,7 @@ def partial_stats_batch(
     s2 = np.bincount(codes, weights=lf * lf, minlength=n_parts)
     s3 = np.bincount(codes, weights=lf * lf * lf, minlength=n_parts)
 
-    # Token-id histogram: coarse bucket per token.  When the vocab is a
-    # multiple of the bucket count, `tok * B // vocab == tok // (vocab//B)`
-    # exactly, computable in int32 without the x2.4M-element int64 temp.
-    if vocab_size >= N_TOKEN_BUCKETS and vocab_size % N_TOKEN_BUCKETS == 0:
-        tok_bucket = np.minimum(
-            flat // np.int32(vocab_size // N_TOKEN_BUCKETS),
-            N_TOKEN_BUCKETS - 1,
-        )
-    else:
-        tok_bucket = (
-            flat.astype(np.int64) * N_TOKEN_BUCKETS // max(vocab_size, 1)
-        ).clip(0, N_TOKEN_BUCKETS - 1)
-    if n_parts == 1:
-        # single partition per batch (the normal layout: one file per
-        # partition) -> no per-token partition codes needed at all
-        tok_hist = np.bincount(
-            tok_bucket, minlength=N_TOKEN_BUCKETS
-        ).reshape(1, N_TOKEN_BUCKETS)
-    else:
-        tok_codes = np.repeat(codes, lengths)
-        tok_hist = np.bincount(
-            tok_codes * N_TOKEN_BUCKETS + tok_bucket,
-            minlength=n_parts * N_TOKEN_BUCKETS,
-        ).reshape(n_parts, N_TOKEN_BUCKETS)
+    tok_hist = _token_histogram(flat, codes, lengths, n_parts, vocab_size)
 
     # Exact sequence-length histogram (bucket width 16, cap MAX_TRACKED_LEN):
     # fully mergeable, exact quantiles at finalize time.

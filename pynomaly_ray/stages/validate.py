@@ -3,11 +3,13 @@ uniqueness pre-aggregation in ONE pass over the input.
 
 A callable for ``ds.map_batches(validator, batch_format="pyarrow")``
 without ``batch_size``: Ray fuses it into the read, so it runs as
-stateless tasks, one per input file, each validating the blocks its file
-decodes.  The validator's state (source set, vocab bound) is small and
-pickled into every task.  Each block is cut into kernel calls of at most
-``batch_size`` rows, which bounds the kernel's temporaries whatever the
-row-group size.
+stateless tasks, one per read task (a run of input files), each
+validating the blocks its files decode.  The validator's state (source
+set, vocab bound) is small and pickled into every task.  Every block's
+schema is checked against the sequence schema first, so a mistyped input
+fails even when its schema was unknown at plan time.  Each block is cut
+into kernel calls of at most ``batch_size`` rows, which bounds the
+kernel's temporaries whatever the row-group size.
 
 The output stream is a tagged union of three row kinds:
 
@@ -29,7 +31,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pynomaly_ray.config import PARTIAL_STATS_SCHEMA, VIOLATION_SCHEMA
-from pynomaly_ray.stages.constraints import check_sequence_batch
+from pynomaly_ray.stages.constraints import (
+    check_sequence_batch,
+    require_sequence_schema,
+)
 from pynomaly_ray.stages.stats import partial_stats_batch
 from pynomaly_ray.stages.uniqueness import project_doc_partition
 
@@ -88,6 +93,7 @@ class SequenceValidator:
         self.batch_size = batch_size
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        require_sequence_schema(batch.schema)
         step = self.batch_size or batch.num_rows
         if batch.num_rows <= step:
             return self._validate(batch)

@@ -1,14 +1,17 @@
 """The footer-planned sequence source and the fused Stage A scan.
 
 ``sequence_dataset_from_dir`` reads through ``SequenceParquetDatasource``:
-one read task per file, planned from the footers, so Stage A's validator
-runs inside the read task.  These tests pin the source's contract
-(rows, per-task metadata, schema agreement), the fused plan, the schema
-pre-flight, and the distributed Stage B over one tagged block per file.
+read tasks planned from the footers, each a run of consecutive files
+balanced by bytes, so Stage A's validator runs inside the read task.
+These tests pin the source's contract (rows, file grouping, per-task
+metadata, schema agreement), the fused plan and its task count, the
+schema checks, and the distributed Stage B over one tagged block per
+task.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import pandas as pd
@@ -127,48 +130,119 @@ def test_empty_directory_refused(tmp_path):
         sequence_dataset_from_dir(str(tmp_path))
 
 
-def test_read_tasks_carry_their_footer(files):
-    """One task per file, its metadata read off the footer, and one block
-    per row group when the task runs."""
+def _footer_bytes(path: str) -> int:
+    md = pq.read_metadata(path)
+    return sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+
+
+def _check_tasks(files, tasks, k) -> None:
+    """``tasks`` is ``get_read_tasks(k)`` over ``files``: ``min(k, files)``
+    runs of consecutive files, each file once and in order, each run at
+    most its byte share plus the largest file (or a single file), and
+    every task's metadata the sum of its files' footers."""
+    assert len(tasks) == min(k, len(files))
+    assert [f for t in tasks for f in t.metadata.input_files] == files
+    nbytes = {f: _footer_bytes(f) for f in files}
+    share = sum(nbytes.values()) / len(tasks)
+    for task in tasks:
+        mine = task.metadata.input_files
+        assert mine
+        assert task.metadata.num_rows == sum(pq.read_metadata(f).num_rows for f in mine)
+        assert task.metadata.size_bytes == sum(nbytes[f] for f in mine)
+        assert len(mine) == 1 or task.metadata.size_bytes <= share + max(nbytes.values())
+        assert task.schema == pq.read_schema(mine[0]).remove_metadata()
+
+
+def test_read_tasks_carry_their_footer(files, tmp_path):
+    """``get_read_tasks(k)``: files grouped into ``min(k, files)`` runs of
+    consecutive files balanced by footer bytes, each task's metadata the
+    sum of its files' footers, and one block per row group when a task
+    runs, the 4-row-group file and the empty file included."""
     from pynomaly_ray.sources.parquet import SequenceParquetDatasource
 
-    tasks = SequenceParquetDatasource(files).get_read_tasks(1)
-    assert len(tasks) == len(files)
-    for f, task in zip(files, tasks):
-        md = pq.read_metadata(f)
-        groups = [md.row_group(i) for i in range(md.num_row_groups)]
-        assert task.metadata.num_rows == md.num_rows
-        assert task.metadata.size_bytes == sum(g.total_byte_size for g in groups)
-        assert task.metadata.input_files == [f]
-        assert task.schema == md.schema.to_arrow_schema().remove_metadata()
-        blocks = list(task())
-        assert [b.num_rows for b in blocks] == [g.num_rows for g in groups]
-        assert all(b.schema == task.schema for b in blocks)
-    by_name = {os.path.basename(f): t for f, t in zip(files, tasks)}
+    source = SequenceParquetDatasource(files)
+    for k in (1, 2, 7, len(files), len(files) + 5):
+        _check_tasks(files, source.get_read_tasks(k), k)
+    for k in (1, 7):
+        for task in source.get_read_tasks(k):
+            groups = [
+                md.row_group(i)
+                for md in map(pq.read_metadata, task.metadata.input_files)
+                for i in range(md.num_row_groups)
+            ]
+            blocks = list(task())
+            assert [b.num_rows for b in blocks] == [g.num_rows for g in groups]
+            assert all(b.schema == task.schema for b in blocks)
+    by_name = {
+        os.path.basename(t.metadata.input_files[0]): t
+        for t in source.get_read_tasks(len(files))
+    }
     assert len(list(by_name[MULTI_RG]())) == 4
     assert by_name[EMPTY].metadata.num_rows == 0
 
+    # balanced by bytes, not by file count: two large files then four
+    # small ones go two ways as [large] [large + small...], and three
+    # ways as [large] [large] [small...]
+    t = generate_partition("web", 0, SPEC)
+    skewed = []
+    for i, rows in enumerate([64, 64, 2, 2, 2, 2]):
+        skewed.append(str(tmp_path / f"part-{i}.parquet"))
+        pq.write_table(t.slice(0, rows), skewed[-1])
+    source = SequenceParquetDatasource(skewed)
+    for k, sizes in ((2, [1, 5]), (3, [1, 1, 4])):
+        tasks = source.get_read_tasks(k)
+        _check_tasks(skewed, tasks, k)
+        assert [len(t.metadata.input_files) for t in tasks] == sizes
 
-def test_stage_a_is_one_fused_task_per_file(files, seq_dir, monkeypatch):
+
+def _planned_tasks(files) -> int:
+    """Ray's read rule without its 200-block floor: twice the cluster's
+    CPUs, at least one task per ``target_max_block_size`` of footer bytes,
+    at most one task per file."""
+    import ray
+    from ray.data import DataContext
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    block = DataContext.get_current().target_max_block_size
+    by_bytes = math.ceil(sum(map(_footer_bytes, files)) / block)
+    return min(len(files), max(2 * cpus, by_bytes))
+
+
+def test_stage_a_is_one_fused_operator_with_the_planned_tasks(files, seq_dir, monkeypatch):
     """Stage A runs as ONE operator, the read with the validator fused
-    in, one task per file; no footer-prefetch or sampling task runs."""
+    in, with the planned task count: from the cluster's CPUs, and from
+    the bytes once ``target_max_block_size`` asks for more blocks.  No
+    footer-prefetch or sampling task runs."""
+    from ray.data import DataContext
+
     from pynomaly_ray.pipelines.validation import sequence_dataset_from_dir
     from pynomaly_ray.sources.parquet import read_parquet_clean
 
-    seen = _spy_stage_b(monkeypatch, "_post_scan_local")
-    log = _task_log(monkeypatch)
-    _validate(sequence_dataset_from_dir(seq_dir))
-    ops = [ln for ln in seen["stats"].splitlines() if ln.startswith("Operator ")]
-    assert len(ops) == 1, seen["stats"]
-    assert ops[0].startswith(
-        f"Operator 1 ReadSequenceParquet->MapBatches(SequenceValidator): "
-        f"{len(files)} tasks executed"
-    ), ops[0]
     stray = {"_sample_fragment", "_fetch_metadata_serialization_wrapper"}
-    assert log and not stray & set(log), sorted(set(log))
+    ctx = DataContext.get_current()
+    by_cpus = _planned_tasks(files)
+    planned = []
+    for block_bytes in (
+        ctx.target_max_block_size,
+        sum(map(_footer_bytes, files)) // (by_cpus + 3),
+    ):
+        monkeypatch.setattr(ctx, "target_max_block_size", block_bytes)
+        planned.append(_planned_tasks(files))
+        seen = _spy_stage_b(monkeypatch, "_post_scan_local")
+        log = _task_log(monkeypatch)
+        _validate(sequence_dataset_from_dir(seq_dir))
+        monkeypatch.undo()
+        ops = [ln for ln in seen["stats"].splitlines() if ln.startswith("Operator ")]
+        assert len(ops) == 1, seen["stats"]
+        assert ops[0].startswith(
+            f"Operator 1 ReadSequenceParquet->MapBatches(SequenceValidator): "
+            f"{planned[-1]} tasks executed"
+        ), ops[0]
+        assert log and not stray & set(log), sorted(set(log))
+    assert by_cpus == planned[0] < planned[1] < len(files)
 
     # the same detector sees Ray's own parquet reader start those tasks
-    log.clear()
+    log = _task_log(monkeypatch)
     read_parquet_clean(files).materialize()
     assert stray & set(log), sorted(set(log))
 
@@ -253,10 +327,29 @@ def test_schema_preflight_fails_before_any_scan(tmp_path, monkeypatch):
     assert log == []
 
 
+def test_mistyped_input_behind_a_map_fails_in_stage_a(tmp_path):
+    """A ``read_parquet_clean`` input has no schema before it runs, so the
+    pre-flight cannot see it; Stage A's validator refuses the first
+    mistyped block with the same ValueError."""
+    from pynomaly_ray.sources.parquet import parquet_files, read_parquet_clean
+
+    tables = {
+        k: t.set_column(
+            t.schema.get_field_index("n_tok"), "n_tok", pc.cast(t["n_tok"], pa.int64())
+        )
+        for k, t in sorted(_partitions().items())[:4]
+    }
+    ds = read_parquet_clean(parquet_files(_write_dir(tmp_path / "wide", tables)))
+    assert ds.schema(fetch_if_missing=False) is None
+    with pytest.raises(ValueError, match="n_tok has type int64, expected int32"):
+        _validate(ds)
+
+
 def test_distributed_stage_b_over_many_files(files, seq_dir, monkeypatch):
-    """driver_collect_bytes=0 over one tagged block per file: the same
-    report and violations as the local path, and the stream is coalesced
-    to the exchange fan-out before the split maps, not kept per file."""
+    """driver_collect_bytes=0 over one tagged block per read task: the
+    same report and violations as the local path, and the stream is
+    coalesced to the exchange fan-out before the split maps, not kept per
+    task."""
     import pynomaly_ray.pipelines.validation as V
     from pynomaly_ray.functions.exchange import auto_num_partitions
 
@@ -274,7 +367,7 @@ def test_distributed_stage_b_over_many_files(files, seq_dir, monkeypatch):
     monkeypatch.setattr(V, "hash_aggregate", spy)
     dist = _validate(V.sequence_dataset_from_dir(seq_dir), driver_collect_bytes=0)
 
-    assert tagged["blocks"] >= len(files) - 1  # one per file, bar the empty one
+    assert tagged["blocks"] == _planned_tasks(files)
     want = auto_num_partitions(tagged["bytes"])
     assert want < tagged["blocks"]
     assert split_blocks == [want]

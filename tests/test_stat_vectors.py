@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pynomaly_ray.config import N_TOKEN_BUCKETS, PARTIAL_STATS_SCHEMA
@@ -162,37 +163,103 @@ def test_merge_and_finalize_match_row_references(partials):
     _assert_vectors_identical(merged)
 
 
+def _ref_histograms(batches, vocab: int) -> dict:
+    """Per-partition ``(tok_hist, len_hist)`` counted one token and one
+    row at a time in Python integers: token ``t`` in bucket
+    ``min(t * 16 // vocab, 15)``, a row of ``k`` tokens in bucket
+    ``min(k, 4095) // 16``."""
+    out: dict = {}
+    for batch, mask in batches:
+        pids = batch["partition_id"].to_pylist()
+        for pid, toks, ok in zip(pids, batch["tokens"].to_pylist(), mask):
+            if not ok:
+                continue
+            tok, ln = out.setdefault(
+                pid, ([0] * N_TOKEN_BUCKETS, [0] * N_LEN_BUCKETS)
+            )
+            for t in toks:
+                tok[min(t * N_TOKEN_BUCKETS // vocab, N_TOKEN_BUCKETS - 1)] += 1
+            ln[min(len(toks), 4095) // 16] += 1
+    return out
+
+
+def _assert_histograms(merged: pd.DataFrame, batches, vocab: int) -> None:
+    ref = _ref_histograms(batches, vocab)
+    assert sorted(merged["partition_id"]) == sorted(ref)
+    for pid, tok, ln in zip(merged["partition_id"], merged["tok_hist"], merged["len_hist"]):
+        assert list(tok) == ref[pid][0], pid
+        assert list(ln) == ref[pid][1], pid
+
+
+def _token_batch(pids, token_lists) -> pa.Table:
+    return pa.table(
+        {
+            "partition_id": pa.array(list(pids), pa.string()),
+            "source": pa.array(["web"] * len(pids), pa.string()),
+            "tokens": pa.array(token_lists, pa.list_(pa.int32())),
+        }
+    )
+
+
 @settings(**SETTINGS)
 @given(
-    vocab=st.sampled_from([1024, 1000, 37]),  # a multiple of 16, and not
+    # a power-of-two multiple of 16, a multiple of 16 that is not
+    # (1040 = 16 * 65), and two vocabs that are not multiples of 16
+    vocab=st.sampled_from([1024, 1040, 1000, 37]),
     seed=st.integers(0, 10_000),
     n_batches=st.integers(1, 4),
 )
 def test_stat_vectors_from_batches_match_row_references(vocab, seed, n_batches):
     """Partials straight from ``partial_stats_batch`` over several batches
     (so several partial rows per partition), including a vocab that is
-    not a multiple of the token-bucket count."""
+    not a multiple of the token-bucket count.  The histograms are also
+    checked against a per-token count of the raw rows."""
     rng = np.random.RandomState(seed)
-    partials = []
+    partials, batches = [], []
     for _ in range(n_batches):
         n = int(rng.randint(1, 40))
         pids = rng.choice(_IDS, n)
         lengths = rng.randint(0, 300, n)
         lengths[pids == "q"] = 7  # a constant-length partition
         tokens = [rng.randint(0, vocab, int(k)).astype(np.int32) for k in lengths]
-        batch = pa.table(
-            {
-                "partition_id": pa.array(pids.tolist(), pa.string()),
-                "source": pa.array(["web"] * n, pa.string()),
-                "tokens": pa.array(tokens, pa.list_(pa.int32())),
-            }
-        )
-        partials.append(partial_stats_batch(batch, np.ones(n, dtype=bool), vocab))
+        batch = _token_batch(pids.tolist(), tokens)
+        mask = np.ones(n, dtype=bool)
+        batches.append((batch, mask))
+        partials.append(partial_stats_batch(batch, mask, vocab))
     df = pa.concat_tables(partials).to_pandas()
     merged = merge_partials_df(df)
     _assert_merged_identical(merged, _ref_merge_partials_df(df))
     _assert_vectors_identical(merged)
+    _assert_histograms(merged, batches, vocab)
 
+
+@pytest.mark.parametrize("vocab", [32768, 1040, 1000, 37])
+@pytest.mark.parametrize("layout", ["one_partition", "interleaved"])
+def test_histograms_match_per_token_reference(vocab, layout):
+    """``tok_hist`` and ``len_hist`` of one batch against the per-token
+    reference: every edge id (0, the bucket edges, ``vocab - 1``, ids at
+    or above the vocab, which land in the last bucket), empty rows, rows
+    past the tracked length, and rows masked out as invalid."""
+    rng = np.random.RandomState(vocab)
+    edges = sorted({0, vocab // 16, vocab // 2, vocab - 1})
+    rows = [
+        edges,
+        [],
+        [vocab - 1] * 3,
+        [vocab, vocab + 5],
+        rng.randint(0, vocab, 5000).tolist(),
+        [],
+    ] + [rng.randint(0, vocab, int(k)).tolist() for k in rng.randint(0, 400, 40)]
+    if layout == "one_partition":
+        pids = ["p0"] * len(rows)
+    else:
+        pids = [_IDS[i % 3] for i in range(len(rows))]
+    mask = np.ones(len(rows), dtype=bool)
+    mask[7::9] = False
+    batch = _token_batch(pids, rows)
+    merged = merge_partials_df(partial_stats_batch(batch, mask, vocab).to_pandas())
+    assert len(merged) == len(set(pids))
+    _assert_histograms(merged, [(batch, mask)], vocab)
 
 def test_merge_of_empty_bucket_keeps_columns():
     """An empty ``hash_aggregate`` bucket merges to an empty frame with
