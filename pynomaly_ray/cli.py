@@ -40,6 +40,10 @@ def _ensure_ray(num_cpus=None):
 
 
 def cmd_validate(args) -> int:
+    if args.write_validated and not args.out:
+        err = "--write-validated needs --out (rows go to <out>/validated/)"
+        print(json.dumps({"error": err}))
+        return 2
     ray = _ensure_ray(args.num_cpus)
     from pynomaly_ray.config import ValidationConfig
     from pynomaly_ray.pipelines.validation import (
@@ -63,7 +67,7 @@ def cmd_validate(args) -> int:
         collect_violations=args.write_validated,
         frozen_model=args.model,
     )
-    if args.write_validated and args.out:
+    if args.write_validated:
         from pynomaly_ray.pipelines.validation import write_validated_output
 
         write_validated_output(

@@ -3,11 +3,13 @@
 Three sketches: HyperLogLog (approximate COUNT(DISTINCT)), a
 deterministic KLL quantile sketch (approximate quantiles of continuous
 columns), and a Bloom filter (constant-size set membership for
-cross-run novelty checks).  HyperLogLog is the engine's approximate-COUNT(DISTINCT) path: the
-exact path (q_distinct_users) must ship every distinct (group, key) pair
-through the exchange — O(distinct) bytes — while a register vector is a
-CONSTANT 2^p bytes per group regardless of cardinality, which is the
-difference between a shuffle and a broadcastable partial at 100 TB.
+cross-run novelty checks), plus the count-min query over a grid that
+reuses the Bloom index kernel.  HyperLogLog is the engine's
+approximate-COUNT(DISTINCT) path: the exact path (q_distinct_users)
+must ship every distinct (group, key) pair through the exchange —
+O(distinct) bytes — while a register vector is a CONSTANT 2^p bytes
+per group regardless of cardinality, which is the difference between a
+shuffle and a broadcastable partial at 100 TB.
 
 All operations are vectorized over whole key arrays (np.bincount over
 register indices); partials merge by element-wise max — associative,
@@ -245,40 +247,11 @@ def hll_estimate(regs: np.ndarray) -> float:
     return float(est)
 
 
-def cms_partial(values, width: int = 4096, depth: int = 4) -> np.ndarray:
-    """Count-min sketch partial for one batch of keys: a (depth, width)
-    int64 counter grid using the same double-hashing index kernel as the
-    Bloom filter (h1 + j*h2 mod width per row).  The heavy-hitter /
-    frequency-estimate sketch completing the family (HLL cardinality,
-    KLL quantiles, Bloom membership): constant size regardless of key
-    cardinality, one-sided error (estimate >= true count, over-count
-    bounded by ~2n/width per row whp).  Partials merge by elementwise
-    SUM — associative and commutative, but NOT idempotent: a retried
-    task's partial must replace, not re-add (the exchange layer's
-    one-ref-per-block contract already guarantees that)."""
-    counts = np.zeros((depth, width), dtype=np.int64)
-    if len(values) == 0:
-        return counts
-    idx = _bloom_indices(values, width, depth)  # (depth, n)
-    for d in range(depth):  # depth is 4-8; the adds are C-speed
-        np.add.at(counts[d], idx[d], 1)
-    return counts
-
-
-def cms_merge(parts, width: int = 4096, depth: int = 4) -> np.ndarray:
-    """Elementwise sum of CMS partials.  An empty partials iterable
-    (zero input batches) merges to the empty (depth, width) sketch so
-    downstream probes report zero — the same degrade-instead-of-crash
-    contract as :func:`hll_merge` / :func:`bloom_merge`."""
-    out = None
-    for p in parts:
-        arr = np.asarray(p, dtype=np.int64)
-        out = arr.copy() if out is None else out + arr
-    return out if out is not None else np.zeros((depth, width), dtype=np.int64)
-
-
 def cms_query(cms: np.ndarray, values) -> np.ndarray:
-    """Frequency estimates: min over depth rows at each key's indices."""
+    """Count-min frequency estimates over a (depth, width) int64 counter
+    grid built with the Bloom filter's double-hashing index kernel
+    (h1 + j*h2 mod width per row): the min over the depth rows at each
+    key's indices.  One-sided error: estimate >= true count."""
     cms = np.asarray(cms, dtype=np.int64)
     depth, width = cms.shape
     if len(values) == 0:

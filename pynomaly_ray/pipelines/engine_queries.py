@@ -1516,9 +1516,10 @@ ORACLE_QUERIES["curriculum_pack"] = (q_curriculum_pack, SQL_CURRICULUM_PACK)
 
 def q_cms_heavy_hitters(sf_dir: str):
     """Count-min-sketch frequency estimates for the corpus' top-10
-    tokens (functions/sketches.cms_*): constant-size (depth x width)
-    counter partials per batch, merged by a (row, col)-keyed exchange,
-    probed with the same double-hash index kernel the Bloom filter uses.
+    tokens (functions/sketches.cms_query): sparse (row, col, cnt)
+    cells of a constant-size (depth x width) grid per batch, merged by
+    a (row, col)-keyed exchange, probed with the same double-hash index
+    kernel the Bloom filter uses.
 
     Oracle surfaces (the HLL pattern): the per-batch SPARSE partial
     cells (row, col, cnt) and the probe index rows (token, row, col)

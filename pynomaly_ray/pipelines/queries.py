@@ -725,7 +725,7 @@ ORACLE_QUERIES.update(
 # The matched order *date* (not key) is projected: tie-invariant when a
 # customer has several orders on one date.
 # ---------------------------------------------------------------------------
-def q_asof_orders(sf_dir: str, as_dataset: bool = False):
+def q_asof_orders(sf_dir: str):
     from pynomaly_ray.functions.exchange import asof_join
 
     events = _pq(sf_dir, "events", ["event_id", "user_id", "ts"])
@@ -745,11 +745,6 @@ def q_asof_orders(sf_dir: str, as_dataset: bool = False):
         )
 
     out = joined.map_batches(project, batch_format="pyarrow")
-    if as_dataset:
-        # the operator is a Dataset end-to-end; the driver collect below
-        # exists only because the oracle harness hashes the full result.
-        # A 100x-scale caller consumes this with write_parquet/iter_batches.
-        return out
     return collect_sorted(out, ["event_id"])
 
 
@@ -1535,12 +1530,9 @@ def _trailing_window_kernel(df: pd.DataFrame) -> pd.DataFrame:
 
 
 
-def q_trailing_events(sf_dir: str, as_dataset: bool = False):
+def q_trailing_events(sf_dir: str):
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts"])
     out = hash_aggregate(ds, ["user_id"], _trailing_window_kernel)
-    if as_dataset:
-        # window results stay distributed; collect only feeds the oracle
-        return out
     return collect_sorted(out, ["event_id"])
 
 
@@ -2304,7 +2296,7 @@ ORDER BY r_name NULLS LAST, n_name NULLS LAST
 # Integer cents keep the cumulative sum associativity-exact across
 # engines (floating window sums are summation-order-defined).
 # ---------------------------------------------------------------------------
-def q_running_total(sf_dir: str, as_dataset: bool = False):
+def q_running_total(sf_dir: str):
     orders = _pq(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
     )
@@ -2326,16 +2318,6 @@ def q_running_total(sf_dir: str, as_dataset: bool = False):
         ["o_custkey"],
         run_tot,
     )
-    if as_dataset:
-        # same int64 surface as the collected path, applied per batch so
-        # the result streams straight to write_parquet/iter_batches
-        def cast_run(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            i = t.schema.get_field_index("run_cents")
-            return t.set_column(i, "run_cents", pc.cast(t["run_cents"], pa.int64()))
-
-        return out.map_batches(cast_run, batch_format="pyarrow")
     df = out.to_pandas()
     df["run_cents"] = df["run_cents"].astype(np.int64)
     return collect_sorted(df, ["o_orderkey"])
@@ -8755,7 +8737,7 @@ FROM f ORDER BY hour
 # aggregate exactly.  Emitting the matched TIME (not a click id) keeps
 # the result tie-insensitive when several clicks share a timestamp.
 # ---------------------------------------------------------------------------
-def q_attribution_last_touch(sf_dir: str, as_dataset: bool = False):
+def q_attribution_last_touch(sf_dir: str):
     from pynomaly_ray.functions.exchange import asof_join
 
     ev = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
@@ -8809,11 +8791,6 @@ def q_attribution_last_touch(sf_dir: str, as_dataset: bool = False):
         )
 
     out = joined.map_batches(window, batch_format="pyarrow")
-    if as_dataset:
-        # purchase-sized result: at corpus scale it streams straight to
-        # write_parquet/iter_batches; the collect below exists only for
-        # the oracle harness's value hash
-        return out
     return collect_sorted(out, ["event_id"])
 
 
@@ -8933,7 +8910,7 @@ ORACLE_QUERIES["bucketed_segment_counts"] = (
 # subtraction inside the reducer — the row-explosion EXCEPT ALL would
 # imply never exists anywhere.
 # ---------------------------------------------------------------------------
-def q_bag_difference(sf_dir: str, as_dataset: bool = False):
+def q_bag_difference(sf_dir: str):
     ev = _pq(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -8964,8 +8941,6 @@ def q_bag_difference(sf_dir: str, as_dataset: bool = False):
     out = hash_aggregate(
         ev.map_batches(partial, batch_format="pyarrow"), ["user_id"], diff
     )
-    if as_dataset:
-        return out  # user-sized result: stream it at corpus scale
     df = out.to_pandas()
     if not len(df) or "mult" not in df.columns:
         return _typed_empty(["user_id", "mult"])
@@ -8992,7 +8967,7 @@ ORDER BY l.user_id
 # block can only contribute rows in its own top-2 bands, so the
 # exchange moves a band-bounded subset; the reducer re-ranks exactly.
 # ---------------------------------------------------------------------------
-def q_top_values_with_ties(sf_dir: str, as_dataset: bool = False):
+def q_top_values_with_ties(sf_dir: str):
     ev = _pq(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def pre(t: pa.Table) -> pa.Table:
@@ -9023,8 +8998,6 @@ def q_top_values_with_ties(sf_dir: str, as_dataset: bool = False):
     out = hash_aggregate(
         ev.map_batches(pre, batch_format="pyarrow"), ["event_type"], rank
     )
-    if as_dataset:
-        return out  # WITH TIES output is data-dependent: stream it
     df = out.to_pandas()
     if not len(df) or "band" not in df.columns:
         return _typed_empty(["event_type", "event_id", "band"])
@@ -9069,7 +9042,7 @@ ORACLE_QUERIES.update(
 # sequence), not an avoidable row loop.  Pattern class excludes the
 # terminator, so greedy (Python re) and RE2 (DuckDB) agree exactly.
 # ---------------------------------------------------------------------------
-def q_event_pattern_matches(sf_dir: str, as_dataset: bool = False):
+def q_event_pattern_matches(sf_dir: str):
     import re as _re
 
     ev = _pq(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
@@ -9114,8 +9087,6 @@ def q_event_pattern_matches(sf_dir: str, as_dataset: bool = False):
     out = hash_aggregate(
         ev.map_batches(pre, batch_format="pyarrow"), ["user_id"], match
     )
-    if as_dataset:
-        return out  # user-sized result: stream it at corpus scale
     return collect_sorted(out, ["user_id"])
 
 
@@ -9152,7 +9123,7 @@ ORACLE_QUERIES["event_pattern_matches"] = (
 # than its bucket.  Region membership rides a dense suppkey-indexed
 # broadcast, so out-of-region rows die at the scan.
 # ---------------------------------------------------------------------------
-def q_cheapest_supplier_per_part(sf_dir: str, as_dataset: bool = False):
+def q_cheapest_supplier_per_part(sf_dir: str):
     import pyarrow.parquet as papq
 
     supp = papq.read_table(
@@ -9202,8 +9173,6 @@ def q_cheapest_supplier_per_part(sf_dir: str, as_dataset: bool = False):
         ["l_partkey"],
         argmin_rows,
     )
-    if as_dataset:
-        return out  # part-sized result: stream it at corpus scale
     df = out.to_pandas()
     if not len(df) or "l_partkey" not in df.columns:
         return _typed_empty(["l_partkey", "s_suppkey", "best_cents"])
@@ -9653,7 +9622,7 @@ ORACLE_QUERIES["zone_scan_revenue"] = (q_zone_scan_revenue, SQL_ZONE_SCAN_REVENU
 # twin's self-join stay oracle-sized; the engine path needs no such
 # restriction.
 # ---------------------------------------------------------------------------
-def q_prefix_jaccard_join(sf_dir: str, as_dataset: bool = False):
+def q_prefix_jaccard_join(sf_dir: str):
     from pynomaly_ray.stages.dedup import prefix_jaccard_pairs
 
     docs = _pq(sf_dir, "documents", ["doc_id", "text"])
@@ -9663,9 +9632,7 @@ def q_prefix_jaccard_join(sf_dir: str, as_dataset: bool = False):
         return t.filter(pa.array(ids % 20 == 0))
 
     sub = docs.map_batches(keep5, batch_format="pyarrow")
-    out = prefix_jaccard_pairs(sub, num=4, den=5, as_dataset=as_dataset)
-    if as_dataset:
-        return out
+    out = prefix_jaccard_pairs(sub, num=4, den=5)
     for c in out.columns:
         out[c] = out[c].astype(np.int64)
     return out.reset_index(drop=True)

@@ -627,7 +627,6 @@ def minhash_lsh_duplicates_incremental(
     shingle_k: int = 5,
     jaccard_threshold: float = 0.8,
     as_dataset: bool = False,
-    commit: bool = False,
 ):
     """Cross-run incremental MinHash-LSH near-dup detection.
 
@@ -663,8 +662,7 @@ def minhash_lsh_duplicates_incremental(
     :func:`commit_run_state` once it has persisted the returned pairs
     (the CLI after writing its parquet) — a marker written before the
     sink would let a crash between them suppress the run's pairs for
-    good.  ``commit=True`` writes the marker as the last step, for
-    callers that treat the returned pairs as delivered.
+    good.
     """
     import os
     import shutil
@@ -731,14 +729,9 @@ def minhash_lsh_duplicates_incremental(
     cands = hash_aggregate(
         union_bands, ["band_id", "band_hash"], bucket_candidate_pairs_new_only
     )
-    out = _verify_candidate_pairs(
+    return _verify_candidate_pairs(
         cands, docs_ds, shingle_k, jaccard_threshold, as_dataset
     )
-    if commit:
-        if as_dataset:
-            out = out.materialize()  # pairs computed before the marker
-        commit_run_state(state_dir, run_id)
-    return out
 
 
 class SimHasher:
@@ -904,8 +897,6 @@ def exact_duplicates_incremental(
     docs_ds,
     state_dir: str,
     run_id: str,
-    *,
-    commit: bool = False,
 ) -> pd.DataFrame:
     """Cross-run incremental EXACT dedup — first-crawl-wins semantics.
 
@@ -913,13 +904,12 @@ def exact_duplicates_incremental(
     each run persists (doc_id, content_hash) for the docs it first saw
     under ``state_dir/hashes/<run_id>/``.  The caller commits the run
     with ``commit_run_state(state_dir, run_id, table="hashes")`` once
-    it has persisted the returned pairs (sink-then-commit);
-    ``commit=True`` commits before returning, for callers that treat
-    the returned pairs as delivered.  A later run over the accumulated
-    corpus anti-joins doc_ids against committed state, so the content
-    hash is computed ONCE per doc across the corpus lifetime, then
-    emits (doc_keep, doc_dup) only for NEW docs whose content was
-    already seen (by a prior run, or by a smaller-id doc in this run).
+    it has persisted the returned pairs (sink-then-commit).  A later
+    run over the accumulated corpus anti-joins doc_ids against committed
+    state, so the content hash is computed ONCE per doc across the
+    corpus lifetime, then emits (doc_keep, doc_dup) only for NEW docs
+    whose content was already seen (by a prior run, or by a smaller-id
+    doc in this run).
 
     The keeper of a content group is the FIRST-SEEN doc — min (run
     rank, doc_id), run rank = sorted state-dir order — so the keeper
@@ -1042,10 +1032,7 @@ def exact_duplicates_incremental(
                 "doc_dup": pd.Series(dtype=np.int64),
             }
         )
-    pairs = pairs.sort_values(["doc_keep", "doc_dup"]).reset_index(drop=True)
-    if commit:
-        commit_run_state(state_dir, run_id, "hashes")
-    return pairs
+    return pairs.sort_values(["doc_keep", "doc_dup"]).reset_index(drop=True)
 
 
 def editdist_le1(ta, tb) -> np.ndarray:
@@ -1195,7 +1182,6 @@ def prefix_jaccard_pairs(
     den: int = 2,
     num_partitions: int | None = None,
     group_cap: int = 10_000,
-    as_dataset: bool = False,
 ):
     """EXACT word-set-Jaccard similarity join over (doc_id, text):
     every unordered pair with ``J >= num/den`` (a rational threshold —
@@ -1337,10 +1323,7 @@ def prefix_jaccard_pairs(
         )
         return t.filter(ok)
 
-    kept = stats.map_batches(keep, batch_format="pyarrow")
-    if as_dataset:
-        return kept
-    out = kept.to_pandas()
+    out = stats.map_batches(keep, batch_format="pyarrow").to_pandas()
     if out.empty or "doc_a" not in out.columns:
         return pd.DataFrame(
             {

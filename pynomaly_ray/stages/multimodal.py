@@ -1,11 +1,11 @@
 """Multimodal (image/audio/video) column plumbing.
 
 Binary payloads are opaque ``binary`` columns with typed metadata
-(media_type, width/height or sample_rate, codec).  The Ray-side plumbing
-— schema, actor-pool stage signatures, small-batch sizing, output layout
-— is real and tested; the actual decode kernels are STUBBED behind
-``NotImplementedError`` (image/audio libraries are not available in this
-container) with a deterministic fake decoder used by tests.
+(media_type, width/height or sample_rate, codec).  Decode is tiered:
+PIL/cv2 (images) or soundfile (audio) when installed, else the
+pure-numpy BMP/PNG and stdlib WAV decoders here, and for any other
+payload a deterministic fake decoder (:func:`fake_decode`,
+:func:`fake_decode_audio`) so a stage never aborts on one row.
 
 Scale notes: binary rows are wide — these stages run with small
 ``batch_size`` (64-256) and ``batch_format="pyarrow"`` so payloads stay
@@ -15,7 +15,6 @@ zero-copy in the object store; never convert a binary column to pandas.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -38,15 +37,6 @@ MEDIA_SCHEMA = pa.schema(
         ),
     ]
 )
-
-
-def real_decode_image(payload: bytes) -> np.ndarray:
-    """Decode an encoded image to HWC uint8.  STUB: no imaging library is
-    available in this container; swap in PIL/cv2 in production."""
-    raise NotImplementedError(
-        "image decoding requires an imaging library (PIL/cv2) not present "
-        "in this environment; use fake_decode for tests"
-    )
 
 
 def decode_bmp(payload: bytes) -> np.ndarray:
@@ -400,7 +390,8 @@ def fake_decode(payload: bytes, width: int = 8, height: int = 8) -> np.ndarray:
 
 
 class ImageFeatures:
-    """Actor-pool stage: decode (stub/fake) + feature-extract per image.
+    """Actor-pool stage: decode (tiered, see module doc) + feature-extract
+    per image.
 
     Emits (media_id, mean_r, mean_g, mean_b, brightness) — the plumbing a
     CLIP/embedding extractor would use, with decode swapped in.
@@ -436,16 +427,6 @@ class ImageFeatures:
         )
 
 
-def real_decode_audio(payload: bytes) -> np.ndarray:
-    """Decode encoded audio to a float32 PCM vector.  STUB: no audio
-    library is available in this container; swap in soundfile/librosa in
-    production."""
-    raise NotImplementedError(
-        "audio decoding requires an audio library (soundfile/librosa) not "
-        "present in this environment; use fake_decode_audio for tests"
-    )
-
-
 def fake_decode_audio(payload: bytes, sample_rate: int = 16000) -> np.ndarray:
     """Deterministic stand-in decoder: bytes -> pseudo-PCM float32 in
     [-1, 1], length proportional to payload size, stable across
@@ -456,7 +437,7 @@ def fake_decode_audio(payload: bytes, sample_rate: int = 16000) -> np.ndarray:
 
 
 class AudioFeatures:
-    """Actor-pool stage: decode (stub/fake) + per-clip audio features
+    """Actor-pool stage: decode (tiered) + per-clip audio features
     (duration, RMS energy, zero-crossing rate) — the plumbing a
     wav2vec-style embedder would use, with decode swapped in."""
 
@@ -489,82 +470,6 @@ class AudioFeatures:
                 "duration_s": pa.array(f[:, 0], pa.float64()),
                 "rms": pa.array(f[:, 1], pa.float64()),
                 "zero_cross_rate": pa.array(f[:, 2], pa.float64()),
-            }
-        )
-
-
-class ImageResize:
-    """Actor-pool stage: decode (stub/fake) -> nearest-neighbor resize ->
-    re-emit the resized image as a raw RGB payload with updated metadata
-    (the preprocessing step in front of any vision encoder).  The resize
-    itself is a vectorized index gather; only decode is stubbed."""
-
-    def __init__(self, out_width: int = 4, out_height: int = 4, decoder=None):
-        self.ow = out_width
-        self.oh = out_height
-        self.decode = decoder or detect_image_decoder() or fake_decode
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, payloads, metas = [], [], []
-        for mid, payload, m in zip(
-            batch["media_id"].to_pylist(),
-            batch["payload"].to_pylist(),
-            batch["meta"].to_pylist(),
-        ):
-            w = (m or {}).get("width") or 8
-            h = (m or {}).get("height") or 8
-            px = self.decode(payload, width=w, height=h)
-            # index by the DECODED dimensions, not the metadata's: a real
-            # decoder (PIL/cv2) returns the payload's intrinsic size, and
-            # stale/absent metadata must not cause out-of-range gathers
-            # or corner-only sampling
-            dh, dw = px.shape[0], px.shape[1]
-            iy = (np.arange(self.oh) * dh) // self.oh
-            ix = (np.arange(self.ow) * dw) // self.ow
-            resized = px[iy][:, ix]
-            ids.append(mid)
-            payloads.append(resized.tobytes())
-            metas.append(
-                {
-                    "width": self.ow,
-                    "height": self.oh,
-                    "sample_rate": 0,
-                    "codec": "raw-rgb",
-                }
-            )
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.string()),
-                "media_type": pa.array(["image"] * len(ids), pa.string()),
-                "payload": pa.array(payloads, pa.binary()),
-                "meta": pa.array(metas, MEDIA_SCHEMA.field("meta").type),
-            },
-            schema=MEDIA_SCHEMA,
-        )
-
-
-class FrameSampler:
-    """Video frame-sampling plumbing: emits one row per sampled frame
-    index (flat_map shape).  Decode is stubbed; frame positions are
-    computed from metadata deterministically."""
-
-    def __init__(self, every_n: int = 30, n_frames_meta_codec: str = "fake"):
-        self.every_n = every_n
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, frames = [], []
-        for mid, payload in zip(
-            batch["media_id"].to_pylist(), batch["payload"].to_pylist()
-        ):
-            # without a real demuxer, frame count derives from payload size
-            n_frames = max(1, len(payload or b"") // 64)
-            for f in range(0, n_frames, self.every_n):
-                ids.append(mid)
-                frames.append(f)
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.string()),
-                "frame_index": pa.array(frames, pa.int64()),
             }
         )
 
@@ -669,23 +574,3 @@ def make_wav_media_table(
         schema=MEDIA_SCHEMA,
     )
 
-
-def make_fake_media_table(n: int = 32, seed: int = 3) -> pa.Table:
-    """Deterministic binary fixture rows conforming to MEDIA_SCHEMA."""
-    rng = np.random.RandomState(seed)
-    payloads = [rng.bytes(rng.randint(64, 2048)) for _ in range(n)]
-    return pa.table(
-        {
-            "media_id": pa.array([f"m{i:05d}" for i in range(n)], pa.string()),
-            "media_type": pa.array(["image"] * n, pa.string()),
-            "payload": pa.array(payloads, pa.binary()),
-            "meta": pa.array(
-                [
-                    {"width": 8, "height": 8, "sample_rate": 0, "codec": "fake"}
-                    for _ in range(n)
-                ],
-                MEDIA_SCHEMA.field("meta").type,
-            ),
-        },
-        schema=MEDIA_SCHEMA,
-    )

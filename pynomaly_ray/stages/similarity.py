@@ -475,7 +475,6 @@ def near_dup_pairs_embedding(
     threshold: float = 0.4,
     n_planes: int = 4,
     n_tables: int = 8,
-    as_dataset: bool = False,
     buckets_sink: Optional[str] = None,
     threshold_on_e6_grid: bool = False,
 ):
@@ -487,11 +486,8 @@ def near_dup_pairs_embedding(
     2. one hash exchange on (table_id, bucket): each bucket reducer
        verifies its own collision groups' exact cosines in place
        (batched einsum, star-capped) and emits only pairs >= threshold;
-    3. a tiny pair-keyed exchange dedups pairs that collided in several
-       tables.  Survivors reach the driver — or, with
-       ``as_dataset=True``, stay distributed as a ray.data.Dataset for
-       a ``write_parquet`` sink (the path for corpora whose verified-
-       pair list itself exceeds driver memory).
+    3. the verified survivors reach the driver, which drops the pairs
+       that collided in several tables.
 
     Recall for a pair at angle theta: 1-(1-p^k)^L with p = 1-theta/pi —
     raise n_tables for higher recall, n_planes for sparser buckets.
@@ -524,14 +520,6 @@ def near_dup_pairs_embedding(
         ["table_id", "bucket"],
         _verified_bucket_pairs(threshold, e6_grid=threshold_on_e6_grid),
     )
-    if as_dataset:
-        # cross-table dedup as a pair-keyed exchange over the (small)
-        # survivor stream
-        return hash_aggregate(
-            verified,
-            ["vec_a", "vec_b"],
-            lambda df: df.drop_duplicates(["vec_a", "vec_b"]),
-        )
     df = verified.to_pandas()
     if df.empty:
         return pd.DataFrame({"vec_a": [], "vec_b": [], "cosine": []})

@@ -163,22 +163,6 @@ class Fingerprint:
         return out
 
 
-def token_count_batch(batch: pa.Table) -> pa.Table:
-    """Whitespace + BPE-ish token counting over ``text`` (vectorized).
-
-    Adds ``ws_tokens`` (whitespace split count) and ``bpe_tokens`` (a
-    regex over word pieces / digits / punctuation, the GPT-2 pre-tokenizer
-    shape) as int64 columns.
-    """
-    text = batch["text"].to_pandas().fillna("")
-    ws = text.str.split().str.len().fillna(0).astype(np.int64)
-    bpe_re = r"[A-Za-zÀ-ÿ]+|\d|[^\sA-Za-zÀ-ÿ\d]"
-    bpe = text.str.count(bpe_re).astype(np.int64)
-    return batch.append_column(
-        "ws_tokens", pa.array(ws.to_numpy(), pa.int64())
-    ).append_column("bpe_tokens", pa.array(bpe.to_numpy(), pa.int64()))
-
-
 #: whitespace-complement token class, shared verbatim with the oracle
 #: SQL twins' regexp_extract_all — public because tokenize-and-count
 #: consumers outside this module (CMS heavy hitters) must stay in

@@ -74,7 +74,6 @@ class SequenceValidator:
         self,
         valid_sources=None,
         vocab_size: Optional[int] = None,
-        emit_docparts: bool = True,
         salt_buckets: int = 16,
         batch_size: Optional[int] = None,
     ):
@@ -88,7 +87,6 @@ class SequenceValidator:
             else None
         )
         self.vocab_size = vocab_size
-        self.emit_docparts = emit_docparts
         self.salt_buckets = salt_buckets
         self.batch_size = batch_size
 
@@ -119,10 +117,9 @@ class SequenceValidator:
             out.append(_pad_to_union(violations, "violation"))
         if partials.num_rows:
             out.append(_pad_to_union(partials, "partial"))
-        if self.emit_docparts:
-            docparts = project_doc_partition(batch, self.salt_buckets)
-            if docparts.num_rows:
-                out.append(_pad_to_union(docparts, "docpart"))
+        docparts = project_doc_partition(batch, self.salt_buckets)
+        if docparts.num_rows:
+            out.append(_pad_to_union(docparts, "docpart"))
         if not out:
             return UNION_SCHEMA.empty_table()
         return pa.concat_tables(out)

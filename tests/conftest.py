@@ -60,6 +60,33 @@ def roc_auc(y_true, y_score) -> float:
     return u / (n_pos * n_neg)
 
 
+def make_fake_media_table(n: int = 32, seed: int = 3):
+    """Deterministic rows of random payload bytes conforming to
+    ``stages.multimodal.MEDIA_SCHEMA`` (every decoder falls through to
+    its fake tier on them)."""
+    import pyarrow as pa
+
+    from pynomaly_ray.stages.multimodal import MEDIA_SCHEMA
+
+    rng = np.random.RandomState(seed)
+    payloads = [rng.bytes(rng.randint(64, 2048)) for _ in range(n)]
+    return pa.table(
+        {
+            "media_id": pa.array([f"m{i:05d}" for i in range(n)], pa.string()),
+            "media_type": pa.array(["image"] * n, pa.string()),
+            "payload": pa.array(payloads, pa.binary()),
+            "meta": pa.array(
+                [
+                    {"width": 8, "height": 8, "sample_rate": 0, "codec": "fake"}
+                    for _ in range(n)
+                ],
+                MEDIA_SCHEMA.field("meta").type,
+            ),
+        },
+        schema=MEDIA_SCHEMA,
+    )
+
+
 @pytest.fixture(scope="session")
 def reference_loop():
     """The reference PyNomaly module, importable read-only as a live oracle

@@ -387,18 +387,22 @@ class ExactIncremental:
     """A run of incremental exact dedup commits its hash table."""
 
     def setup(self, d):
-        from pynomaly_ray.stages.dedup import exact_duplicates_incremental
-
-        exact_duplicates_incremental(
-            _docs(range(8)), str(d / "S"), "r1", commit=True
+        from pynomaly_ray.stages.dedup import (
+            commit_run_state,
+            exact_duplicates_incremental,
         )
+
+        exact_duplicates_incremental(_docs(range(8)), str(d / "S"), "r1")
+        commit_run_state(str(d / "S"), "r1", table="hashes")
 
     def op(self, d):
-        from pynomaly_ray.stages.dedup import exact_duplicates_incremental
-
-        exact_duplicates_incremental(
-            _docs(range(16)), str(d / "S"), "r2", commit=True
+        from pynomaly_ray.stages.dedup import (
+            commit_run_state,
+            exact_duplicates_incremental,
         )
+
+        exact_duplicates_incremental(_docs(range(16)), str(d / "S"), "r2")
+        commit_run_state(str(d / "S"), "r2", table="hashes")
 
     def read(self, d):
         from pynomaly_ray.stages.dedup import _committed_state_dirs
@@ -416,12 +420,16 @@ class MinhashCompact:
     """Compaction folds committed band dirs into one committed dir."""
 
     def setup(self, d):
-        from pynomaly_ray.stages.dedup import minhash_lsh_duplicates_incremental
+        from pynomaly_ray.stages.dedup import (
+            commit_run_state,
+            minhash_lsh_duplicates_incremental,
+        )
 
         for run, n in (("r1", 6), ("r2", 12)):
             minhash_lsh_duplicates_incremental(
-                _docs(range(n)), str(d / "S"), run, commit=True
+                _docs(range(n)), str(d / "S"), run
             )
+            commit_run_state(str(d / "S"), run)
 
     def op(self, d):
         from pynomaly_ray.stages.dedup import compact_minhash_state

@@ -88,6 +88,7 @@ def test_minhash_state_compaction_preserves_pairs(ray_session, tmp_path):
     import ray.data as rd
 
     from pynomaly_ray.stages.dedup import (
+        commit_run_state,
         compact_minhash_state,
         minhash_lsh_duplicates_incremental,
     )
@@ -116,15 +117,17 @@ def test_minhash_state_compaction_preserves_pairs(ray_session, tmp_path):
     state = str(tmp_path / "state")
     for i, c in enumerate(corpora, 1):
         minhash_lsh_duplicates_incremental(
-            rd.from_pandas(c), state, f"r{i}", commit=True, **kw
+            rd.from_pandas(c), state, f"r{i}", **kw
         )
+        commit_run_state(state, f"r{i}")
 
     # control: run4 over the UNCOMPACTED state (on a copy)
     ctrl = str(tmp_path / "ctrl")
     shutil.copytree(state, ctrl)
     p4_ctrl = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(final), ctrl, "r4", commit=True, **kw
+        rd.from_pandas(final), ctrl, "r4", **kw
     )
+    commit_run_state(ctrl, "r4")
 
     summary = compact_minhash_state(state)
     assert summary["compacted_runs"] == 3
@@ -138,8 +141,9 @@ def test_minhash_state_compaction_preserves_pairs(ray_session, tmp_path):
     assert set(bands["doc_id"]) == {"a1", "a2", "b1", "c1"}
 
     p4 = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(final), state, "r4", commit=True, **kw
+        rd.from_pandas(final), state, "r4", **kw
     )
+    commit_run_state(state, "r4")
     assert set(zip(p4.doc_a, p4.doc_b)) == set(zip(p4_ctrl.doc_a, p4_ctrl.doc_b))
     assert any("d1" in p for p in zip(p4.doc_a, p4.doc_b))
 
@@ -158,6 +162,7 @@ def test_minhash_state_compaction_ignores_uncommitted(ray_session, tmp_path):
     import ray.data as rd
 
     from pynomaly_ray.stages.dedup import (
+        commit_run_state,
         compact_minhash_state,
         minhash_lsh_duplicates_incremental,
     )
@@ -171,12 +176,10 @@ def test_minhash_state_compaction_ignores_uncommitted(ray_session, tmp_path):
         ignore_index=True,
     )
     state = str(tmp_path / "state")
-    minhash_lsh_duplicates_incremental(
-        rd.from_pandas(docs1), state, "r1", commit=True
-    )
-    minhash_lsh_duplicates_incremental(
-        rd.from_pandas(docs2), state, "r2", commit=True
-    )
+    minhash_lsh_duplicates_incremental(rd.from_pandas(docs1), state, "r1")
+    commit_run_state(state, "r1")
+    minhash_lsh_duplicates_incremental(rd.from_pandas(docs2), state, "r2")
+    commit_run_state(state, "r2")
     minhash_lsh_duplicates_incremental(rd.from_pandas(docs3), state, "crashed")
     summary = compact_minhash_state(state)
     assert summary["compacted_runs"] == 2
@@ -290,40 +293,6 @@ def test_connected_components_empty_typed_from_input(ray_session):
                   "lbl": pa.array([1], pa.int64())})
     )
     assert out.union(real).count() == 1
-
-
-# ---------------------------------------------------------------------------
-# Dataset-returning window queries (verdict #6): write_parquet without
-# driver materialization
-# ---------------------------------------------------------------------------
-def test_window_queries_as_dataset_write_parquet(ray_session, tmp_path):
-    """`as_dataset=True` returns the operator's Dataset so a windowed
-    result streams straight to parquet; the written rows match the
-    collected oracle-path result exactly."""
-    import ray.data as rd
-
-    from pynomaly_ray.pipelines.queries import q_running_total, q_trailing_events
-
-    sf_dir = "/root/testdata/sf0.001"
-    ds = q_running_total(sf_dir, as_dataset=True)
-    assert isinstance(ds, rd.Dataset)
-    out = str(tmp_path / "run_tot")
-    ds.write_parquet(out)
-
-    written = (
-        pq.read_table(out)
-        .to_pandas()
-        .sort_values("o_orderkey")
-        .reset_index(drop=True)
-    )
-    collected = q_running_total(sf_dir)
-    pd.testing.assert_frame_equal(
-        written[collected.columns.tolist()], collected, check_dtype=True
-    )
-
-    ds2 = q_trailing_events(sf_dir, as_dataset=True)
-    assert isinstance(ds2, rd.Dataset)
-    assert ds2.count() == len(q_trailing_events(sf_dir))
 
 
 # ---------------------------------------------------------------------------

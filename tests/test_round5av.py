@@ -23,7 +23,10 @@ def _pairs(df):
 
 
 def test_first_crawl_wins_across_three_runs(ray_session, tmp_path):
-    from pynomaly_ray.stages.dedup import exact_duplicates_incremental
+    from pynomaly_ray.stages.dedup import (
+        commit_run_state,
+        exact_duplicates_incremental,
+    )
 
     state = str(tmp_path / "state")
     # run 1: docs 10, 11 (distinct), 12 dup of 10
@@ -31,15 +34,16 @@ def test_first_crawl_wins_across_three_runs(ray_session, tmp_path):
         _docs(ray_session, [(10, "aaa"), (11, "bbb"), (12, "aaa")]),
         state,
         "run1",
-        commit=True,
     )
+    commit_run_state(state, "run1", table="hashes")
     assert _pairs(p1) == [(10, 12)]
     # run 2 (accumulated corpus): new docs 5 (dup of 10 — SMALLER id,
     # but the keeper stays the first-seen doc 10) and 6 (new content)
     corpus2 = [(10, "aaa"), (11, "bbb"), (12, "aaa"), (5, "aaa"), (6, "ccc")]
     p2 = exact_duplicates_incremental(
-        _docs(ray_session, corpus2), state, "run2", commit=True
+        _docs(ray_session, corpus2), state, "run2"
     )
+    commit_run_state(state, "run2", table="hashes")
     assert _pairs(p2) == [(10, 5)]
     # run 3: a dup of run-2's new content — keeper is run-2's doc 6
     corpus3 = corpus2 + [(7, "ccc")]
@@ -51,20 +55,24 @@ def test_first_crawl_wins_across_three_runs(ray_session, tmp_path):
 
 
 def test_uncommitted_run_does_not_suppress(ray_session, tmp_path):
-    from pynomaly_ray.stages.dedup import exact_duplicates_incremental
+    from pynomaly_ray.stages.dedup import (
+        commit_run_state,
+        exact_duplicates_incremental,
+    )
 
     state = str(tmp_path / "state")
     rows = [(1, "x"), (2, "x")]
-    # crash before delivery: commit=False and the caller never commits
+    # crash before delivery: the caller never commits
     p = exact_duplicates_incremental(
-        _docs(ray_session, rows), state, "run1", commit=False
+        _docs(ray_session, rows), state, "run1"
     )
     assert _pairs(p) == [(1, 2)]
     assert os.path.isdir(os.path.join(state, "hashes", "run1"))
     # retry of run1 re-hashes everything and re-emits the lost pairs
     p_retry = exact_duplicates_incremental(
-        _docs(ray_session, rows), state, "run1", commit=True
+        _docs(ray_session, rows), state, "run1"
     )
+    commit_run_state(state, "run1", table="hashes")
     assert _pairs(p_retry) == [(1, 2)]
     # now committed: run2 sees the docs as prior and emits nothing new
     p2 = exact_duplicates_incremental(_docs(ray_session, rows), state, "run2")
@@ -212,6 +220,7 @@ def test_compact_exact_state_preserves_keepers(ray_session, tmp_path):
     keeper — not re-elect by doc_id and point new dups at docs that
     past runs already dropped."""
     from pynomaly_ray.stages.dedup import (
+        commit_run_state,
         compact_exact_state,
         exact_duplicates_incremental,
     )
@@ -220,13 +229,11 @@ def test_compact_exact_state_preserves_keepers(ray_session, tmp_path):
     # run1: doc 10 introduces "aaa"; run2: doc 5 (smaller id!) dups it
     c1 = [(10, "aaa"), (11, "bbb")]
     c2 = c1 + [(5, "aaa")]
-    p1 = exact_duplicates_incremental(
-        _docs(ray_session, c1), state, "run1", commit=True
-    )
+    p1 = exact_duplicates_incremental(_docs(ray_session, c1), state, "run1")
+    commit_run_state(state, "run1", table="hashes")
     assert _pairs(p1) == []
-    p2 = exact_duplicates_incremental(
-        _docs(ray_session, c2), state, "run2", commit=True
-    )
+    p2 = exact_duplicates_incremental(_docs(ray_session, c2), state, "run2")
+    commit_run_state(state, "run2", table="hashes")
     assert _pairs(p2) == [(10, 5)]  # 5 dropped, 10 keeps
 
     rep = compact_exact_state(state)
@@ -247,19 +254,20 @@ def test_compact_exact_state_preserves_keepers(ray_session, tmp_path):
 
 def test_compact_exact_state_idempotent_and_rerunnable(ray_session, tmp_path):
     from pynomaly_ray.stages.dedup import (
+        commit_run_state,
         compact_exact_state,
         exact_duplicates_incremental,
     )
 
     state = str(tmp_path / "state")
-    exact_duplicates_incremental(
-        _docs(ray_session, [(1, "a")]), state, "run1", commit=True
-    )
+    exact_duplicates_incremental(_docs(ray_session, [(1, "a")]), state, "run1")
+    commit_run_state(state, "run1", table="hashes")
     # single committed run: nothing to fold
     assert compact_exact_state(state)["compacted_runs"] == 0
     exact_duplicates_incremental(
-        _docs(ray_session, [(1, "a"), (2, "b")]), state, "run2", commit=True
+        _docs(ray_session, [(1, "a"), (2, "b")]), state, "run2"
     )
+    commit_run_state(state, "run2", table="hashes")
     r = compact_exact_state(state)
     assert r["compacted_runs"] == 2
     # compacting a compacted state is a no-op

@@ -424,41 +424,3 @@ def test_shingle_sql_twins_injective_on_rs_separator(ray_session, tmp_path):
     out = ORACLE_QUERIES["decontaminate"][0](str(sf))
     assert list(out["doc_id"]) == [2]
 
-
-# ------------------------------------------------------------- sources
-
-
-def test_csv_json_sources_roundtrip(ray_session, tmp_path):
-    """CSV/JSONL ingest edges: explicit CSV schema beats inference (an
-    all-digit doc_id shard must still read as string when declared so),
-    and both formats feed the same downstream stages as parquet."""
-    import json as _json
-
-    from pynomaly_ray.sources.text_files import read_csv_clean, read_json_clean
-    from pynomaly_ray.stages.decontam import repetition_profile
-
-    csv_path = tmp_path / "docs.csv"
-    csv_path.write_text(
-        "doc_id,text\n123,a a a\n456,b c d\n"  # doc_id all digits
-    )
-    schema = pa.schema([("doc_id", pa.string()), ("text", pa.string())])
-    ds = read_csv_clean(str(csv_path), schema=schema)
-    sch = ds.schema()
-    assert sch.types[sch.names.index("doc_id")] == pa.string()
-    out = repetition_profile(ds, k=2).to_pandas().set_index("doc_id")
-    assert out.loc["123", "rep_e6"] == 500_000  # string ids flow through
-
-    jl = tmp_path / "docs.jsonl"
-    jl.write_text(
-        "\n".join(
-            _json.dumps(r)
-            for r in [
-                {"doc_id": 1, "text": "x y z w q"},
-                {"doc_id": 2, "text": "q w"},
-            ]
-        )
-        + "\n"
-    )
-    ds2 = read_json_clean(str(jl))
-    rep = repetition_profile(ds2, k=2).to_pandas()
-    assert set(rep["doc_id"]) == {1, 2}

@@ -590,40 +590,7 @@ def test_pack_offsets_custom_sort_col(ray_session):
     assert out["off_in_seq"].tolist() == [0, 0, 0]
 
 
-def test_gzip_csv_jsonl_ingest(ray_session, tmp_path):
-    import gzip
-
-    from pynomaly_ray.sources.text_files import read_csv_clean, read_json_clean
-
-    jp = tmp_path / "d.jsonl.gz"
-    with gzip.open(jp, "wt") as f:
-        f.write('{"doc_id": 1, "text": "a b"}\n{"doc_id": 2, "text": "c"}\n')
-    cp = tmp_path / "d.csv.gz"
-    with gzip.open(cp, "wt") as f:
-        f.write("doc_id,text\n1,a b\n2,c\n")
-    sch = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
-    j = read_json_clean(str(jp)).to_pandas().sort_values("doc_id")
-    c = read_csv_clean(str(cp), schema=sch).to_pandas().sort_values("doc_id")
-    assert j["text"].tolist() == ["a b", "c"]
-    assert c["text"].tolist() == ["a b", "c"]
-    assert c["doc_id"].dtype == np.int64
-    with pytest.raises(ValueError, match="mixed"):
-        read_json_clean([str(jp), str(tmp_path / "plain.jsonl")])
-
-
 def test_gzip_dir_ingest_and_null_embedding_guard(ray_session, tmp_path):
-    import gzip
-
-    from pynomaly_ray.sources.text_files import read_json_clean
-
-    d = tmp_path / "shards"
-    d.mkdir()
-    for i in range(2):
-        with gzip.open(d / f"s{i}.jsonl.gz", "wt") as f:
-            f.write('{"doc_id": %d, "text": "x"}\n' % i)
-    got = read_json_clean(str(d)).to_pandas()
-    assert sorted(got["doc_id"]) == [0, 1]
-
     import ray.data as rd
 
     from pynomaly_ray.stages.clustering import kmeans_fit
@@ -692,35 +659,6 @@ def test_chunk_documents_exact_multiple(ray_session):
     out = chunk_documents(docs, chunk_words=3).to_pandas()
     assert out["n_tok"].tolist() == [3, 3]
     assert out["chunk_text"].tolist() == ["t0 t1 t2", "t3 t4 t5"]
-
-
-# ---------------------------------------------------------------------------
-# count-min sketch
-# ---------------------------------------------------------------------------
-def test_cms_one_sided_and_exact_at_width():
-    import collections
-
-    from pynomaly_ray.functions.sketches import cms_merge, cms_partial, cms_query
-
-    rng = np.random.RandomState(5)
-    keys = pd.Series([f"k{i}" for i in rng.zipf(1.4, 3000) if i < 150])
-    parts = [
-        cms_partial(keys[i::4], width=2048, depth=4) for i in range(4)
-    ]
-    m = cms_merge(parts)
-    true = collections.Counter(keys)
-    probes = pd.Series(sorted(true))
-    est = cms_query(m, probes)
-    tv = np.array([true[p] for p in probes])
-    assert (est >= tv).all()           # one-sided error, always
-    # and with width >> distinct keys, collisions are whp absent
-    assert (est == tv).mean() > 0.95
-    # merge must equal the single-pass sketch (sum-mergeable)
-    single = cms_partial(keys, width=2048, depth=4)
-    np.testing.assert_array_equal(m, single)
-    # NUL-divergent keys stay distinct through the hash kernel
-    nul = cms_partial(pd.Series(["a\x00b", "a\x00c"]), width=2048, depth=4)
-    assert cms_query(nul, pd.Series(["a\x00b"]))[0] == 1
 
 
 def test_leak_safe_split_groups_stay_together(ray_session):

@@ -181,28 +181,6 @@ def test_bucketed_aggregate_matches_pandas(ray_session, tmp_path):
     pd.testing.assert_frame_equal(got.astype(np.int64), want.astype(np.int64))
 
 
-def test_as_dataset_variants_stream_to_parquet(ray_session, tmp_path):
-    """The row-heavy wave-14/15 queries expose as_dataset=True so a
-    100-TB user writes the result without a driver collect."""
-    from pynomaly_ray.pipelines.queries import (
-        q_attribution_last_touch,
-        q_bag_difference,
-        q_cheapest_supplier_per_part,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    for i, fn in enumerate(
-        (q_attribution_last_touch, q_bag_difference, q_cheapest_supplier_per_part)
-    ):
-        ds = fn(sf, as_dataset=True)
-        assert hasattr(ds, "write_parquet")  # a Dataset, not a DataFrame
-        out = str(tmp_path / f"out{i}")
-        ds.write_parquet(out)
-        got = pd.read_parquet(out)
-        want = fn(sf)
-        assert len(got) == len(want)
-
-
 def test_bucketed_join_live_matches_pandas(ray_session, tmp_path):
     """A live delta joins the persisted layout without the layout
     moving; result equals a plain pandas merge."""

@@ -1,6 +1,7 @@
 """The validated-rows sink after a resume, and CLI guard rails: dedup
-refuses incremental state it cannot keep, a failing query does not stop
-a `run` batch, and the IVF pruning proof matches whole path components."""
+refuses incremental state it cannot keep, validate refuses to write
+validated rows without an --out, a failing query does not stop a `run`
+batch, and the IVF pruning proof matches whole path components."""
 
 from __future__ import annotations
 
@@ -86,6 +87,23 @@ def test_dedup_rejects_state_dir_without_minhash(method, tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert "--state-dir" in err and "minhash only" in err
     assert not state.exists() and not (tmp_path / "out").exists()
+
+
+def test_validate_rejects_write_validated_without_out(
+    tmp_path, capsys, monkeypatch
+):
+    """Without --out there is nowhere to write the validated rows: the
+    command refuses before Ray starts instead of exiting as if it wrote."""
+    import pynomaly_ray.cli as cli
+
+    def no_ray(*_a, **_k):
+        raise AssertionError("Ray started")
+
+    monkeypatch.setattr(cli, "_ensure_ray", no_ray)
+    rc = main(["validate", "--input", str(tmp_path), "--write-validated"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert "--write-validated" in err and "--out" in err
 
 
 def test_run_isolates_a_failing_query(ray_session, tmp_path, capsys, monkeypatch):

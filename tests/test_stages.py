@@ -62,15 +62,6 @@ def test_fingerprint_deterministic_and_distinct():
     assert a["fingerprint"][0] != a["fingerprint"][1]
 
 
-def test_token_count_batch():
-    from pynomaly_ray.stages.text import token_count_batch
-
-    t = pa.table({"text": ["one two three", "a,b c!", ""]})
-    out = token_count_batch(t)
-    assert out["ws_tokens"].to_pylist() == [3, 2, 0]
-    assert out["bpe_tokens"].to_pylist() == [3, 5, 0]
-
-
 # ---------------------------------------------------------------------------
 # dedup
 # ---------------------------------------------------------------------------
@@ -204,15 +195,8 @@ def test_embedding_near_dup_pairs(ray_session):
 def test_multimodal_stub_and_plumbing(ray_session):
     import ray.data as rd
 
-    from pynomaly_ray.stages.multimodal import (
-        FrameSampler,
-        ImageFeatures,
-        make_fake_media_table,
-        real_decode_image,
-    )
-
-    with pytest.raises(NotImplementedError):
-        real_decode_image(b"\x00")
+    from pynomaly_ray.stages.multimodal import ImageFeatures
+    from tests.conftest import make_fake_media_table
 
     media = make_fake_media_table(16)
     ds = rd.from_arrow(media)
@@ -230,24 +214,12 @@ def test_multimodal_stub_and_plumbing(ray_session):
         feats2.sort_values("media_id").reset_index(drop=True),
     )
 
-    frames = ds.map_batches(
-        FrameSampler, batch_format="pyarrow", batch_size=8, concurrency=1
-    ).to_pandas()
-    assert (frames.frame_index % 30 == 0).all()
-    assert frames.media_id.nunique() == 16
-
 
 def test_audio_features_stub_and_plumbing(ray_session):
     import ray.data as rd
 
-    from pynomaly_ray.stages.multimodal import (
-        AudioFeatures,
-        make_fake_media_table,
-        real_decode_audio,
-    )
-
-    with pytest.raises(NotImplementedError):
-        real_decode_audio(b"\x00")
+    from pynomaly_ray.stages.multimodal import AudioFeatures
+    from tests.conftest import make_fake_media_table
 
     ds = rd.from_arrow(make_fake_media_table(12))
     feats = ds.map_batches(
@@ -394,49 +366,6 @@ def test_ivf_topk_recall_on_clustered_data(ray_session):
     assert np.allclose(merged.score_a, merged.score_e, atol=1e-12)
 
 
-def test_image_resize_plumbing(ray_session):
-    """Resize stage: raw-RGB payloads of exactly out_w*out_h*3 bytes,
-    updated metadata, deterministic, and chainable into ImageFeatures."""
-    import ray.data as rd
-
-    from pynomaly_ray.stages.multimodal import (
-        ImageFeatures,
-        ImageResize,
-        make_fake_media_table,
-    )
-
-    ds = rd.from_arrow(make_fake_media_table(24, seed=6))
-    resized = ds.map_batches(
-        ImageResize, fn_constructor_kwargs={"out_width": 4, "out_height": 4},
-        batch_format="pyarrow", batch_size=8, concurrency=(1, 2),
-    )
-    t = resized.to_arrow_refs()
-    import ray
-
-    tbl = pa.concat_tables([x for x in ray.get(t) if x.num_rows])
-    assert tbl.num_rows == 24
-    for p, m in zip(tbl["payload"].to_pylist(), tbl["meta"].to_pylist()):
-        assert len(p) == 4 * 4 * 3
-        assert m["width"] == 4 and m["height"] == 4 and m["codec"] == "raw-rgb"
-    # chainable: features over the resized table still work (decode of a
-    # raw payload goes through the same fake decoder plumbing)
-    feats = rd.from_arrow(tbl).map_batches(
-        ImageFeatures, batch_format="pyarrow", batch_size=8, concurrency=(1, 2)
-    ).to_pandas()
-    assert len(feats) == 24
-    # determinism across runs
-    tbl2 = pa.concat_tables(
-        [x for x in ray.get(
-            rd.from_arrow(make_fake_media_table(24, seed=6)).map_batches(
-                ImageResize,
-                fn_constructor_kwargs={"out_width": 4, "out_height": 4},
-                batch_format="pyarrow", batch_size=8, concurrency=(1, 2),
-            ).to_arrow_refs()
-        ) if x.num_rows]
-    )
-    assert tbl["payload"].to_pylist() == tbl2["payload"].to_pylist()
-
-
 def test_hll_sketch_accuracy_and_merge():
     """HLL invariants: split-merge == whole; estimate within the p=12
     theoretical band; idempotent under duplicate insertion."""
@@ -502,9 +431,9 @@ def test_emit_group_pairs_matches_naive_and_star():
 
 
 def test_dedup_dataset_sink_paths(ray_session, tmp_path):
-    """as_dataset=True returns the same verified pairs as the DataFrame
-    path, without a driver-side collect; CLI dedup writes the pair
-    parquet distributed."""
+    """MinHash with as_dataset=True (the CLI dedup sink's path) returns
+    the same verified pairs as the DataFrame path, without a driver-side
+    collect."""
     import ray.data as rd
 
     from pynomaly_ray.stages.dedup import minhash_lsh_duplicates
@@ -525,24 +454,6 @@ def test_dedup_dataset_sink_paths(ray_session, tmp_path):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, want)
-
-    # embedding variant
-    from pynomaly_ray.stages.similarity import near_dup_pairs_embedding
-
-    n, dim = 80, 16
-    E = rng.randn(n, dim)
-    E[1] = E[0] + 0.01 * rng.randn(dim)  # planted near-dup
-    edf = pd.DataFrame({"vec_id": np.arange(n, dtype=np.int64), "embedding": list(E)})
-    eds = rd.from_pandas(edf).repartition(2)
-    ewant = near_dup_pairs_embedding(eds, dim=dim, threshold=0.9)
-    egot = (
-        near_dup_pairs_embedding(eds, dim=dim, threshold=0.9, as_dataset=True)
-        .to_pandas()
-        .sort_values(["vec_a", "vec_b"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(egot, ewant)
-    assert {(0, 1)} <= set(zip(ewant.vec_a.astype(int), ewant.vec_b.astype(int)))
 
 
 def test_cli_dedup_minhash_distributed_sink(ray_session, tmp_path):
@@ -576,6 +487,7 @@ def test_media_decoder_autodetect(monkeypatch):
     import types
 
     from pynomaly_ray.stages import multimodal as mm
+    from tests.conftest import make_fake_media_table
 
     # no PIL/cv2/soundfile here -> tier-3 numpy sniffing decoders: real
     # decode for BMP/WAV payloads, fake fallback for anything else
@@ -606,7 +518,7 @@ def test_media_decoder_autodetect(monkeypatch):
     assert (dec(b"payload") == 7).all()
     stage = mm.ImageFeatures()
     assert stage.decode is not mm.fake_decode
-    out = stage(mm.make_fake_media_table(3))
+    out = stage(make_fake_media_table(3))
     assert out.num_rows == 3
     assert out["mean_r"].to_pylist() == [7.0, 7.0, 7.0]
 
@@ -742,28 +654,15 @@ def test_asof_join_directions(ray_session):
 
 
 def test_review_regressions_r3():
-    """Pins for round-3 review findings: empty bloom merge, resize by
-    decoded (not metadata) dimensions, legacy manifest run_id reuse."""
+    """Regression pin: merging zero Bloom partials gives the empty filter."""
     import numpy as np
 
     from pynomaly_ray.functions.sketches import bloom_contains, bloom_merge
-    from pynomaly_ray.stages.multimodal import ImageResize, make_fake_media_table
 
     # bloom_merge of zero partials is the empty filter, not None
     empty = bloom_merge([])
     assert empty.dtype == np.uint64 and empty.any() == False  # noqa: E712
     assert not bloom_contains(empty, ["x", "y"]).any()
-
-    # a decoder returning dimensions different from the metadata (the
-    # real-PIL case) must resize by the DECODED shape
-    def decode_16x12(payload, width=8, height=8):
-        return np.arange(16 * 12 * 3, dtype=np.uint8).reshape(16, 12, 3)
-
-    out = ImageResize(out_width=4, out_height=4, decoder=decode_16x12)(
-        make_fake_media_table(2)  # meta says 8x8; decoder returns 16x12
-    )
-    assert out.num_rows == 2
-    assert len(out["payload"][0].as_py()) == 4 * 4 * 3
 
 
 def test_manifest_legacy_run_id_reuse_guard(tmp_path):
@@ -1027,6 +926,7 @@ def test_minhash_incremental_cross_run(ray_session, tmp_path):
     import ray.data as rd
 
     from pynomaly_ray.stages.dedup import (
+        commit_run_state,
         minhash_lsh_duplicates,
         minhash_lsh_duplicates_incremental,
     )
@@ -1060,14 +960,16 @@ def test_minhash_incremental_cross_run(ray_session, tmp_path):
 
     kw = dict(n_perm=64, n_bands=16, jaccard_threshold=0.65)
     p1 = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(run1_docs), state, "run1", commit=True, **kw
+        rd.from_pandas(run1_docs), state, "run1", **kw
     )
+    commit_run_state(state, "run1")
     got1 = set(zip(p1.doc_a, p1.doc_b))
     assert ("a1", "a2") in got1
 
     p2 = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(full), state, "run2", commit=True, **kw
+        rd.from_pandas(full), state, "run2", **kw
     )
+    commit_run_state(state, "run2")
     got2 = set(zip(p2.doc_a, p2.doc_b))
     assert ("a1", "a2") not in got2          # prior-prior suppressed
     assert ("a1", "b1") in got2 or ("a2", "b1") in got2  # spans runs
@@ -1084,15 +986,17 @@ def test_minhash_incremental_cross_run(ray_session, tmp_path):
 
     # retry of run2 is idempotent
     p2b = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(full), state, "run2", commit=True, **kw
+        rd.from_pandas(full), state, "run2", **kw
     )
+    commit_run_state(state, "run2")
     assert set(zip(p2b.doc_a, p2b.doc_b)) == got2
 
     # an UNCOMMITTED run3 (marker removed) must not suppress anything:
     # run4 re-emits run3-would-have-owned pairs
     p3 = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(full), state, "run3", commit=True, **kw
+        rd.from_pandas(full), state, "run3", **kw
     )
+    commit_run_state(state, "run3")
     assert set(zip(p3.doc_a, p3.doc_b)) == set()  # no new docs -> no pairs
     os.remove(os.path.join(state, "bands", ".commit-run3"))
     more = pd.concat(
@@ -1100,8 +1004,9 @@ def test_minhash_incremental_cross_run(ray_session, tmp_path):
         ignore_index=True,
     )
     p4 = minhash_lsh_duplicates_incremental(
-        rd.from_pandas(more), state, "run4", commit=True, **kw
+        rd.from_pandas(more), state, "run4", **kw
     )
+    commit_run_state(state, "run4")
     got4 = set(zip(p4.doc_a, p4.doc_b))
     assert any("c1" in pair for pair in got4)  # the new exact dup surfaces
 
