@@ -16,6 +16,14 @@ yields exact global results.  Skew: bucket count P spreads hot keys'
 *partials* (upstream map-side pre-aggregation has already collapsed
 per-batch duplicates), so a hot key costs one reducer O(its partials),
 bounded by the number of upstream blocks.
+
+Fan-out: P is one decision, :func:`auto_num_partitions` over the bytes
+an exchange moves.  Only :func:`hash_aggregate` and :func:`range_sort`
+take a ``num_partitions``, for callers whose bucket count is part of
+the result (a bucketed or sorted layout, a query pinning its ranges).
+Every two-sided operator (hash, anti, as-of and range joins,
+:class:`PartitionedTable`) co-partitions through one helper,
+:func:`_co_partitioned`, and runs one ``_pair_bucket`` task per bucket.
 """
 
 from __future__ import annotations
@@ -190,7 +198,7 @@ def _partitioned_refs(block_refs: list, key_cols: Sequence[str], p: int) -> list
     """Scatter every block ref into ``p`` key-hash bucket refs.
 
     Returns one list of ``p`` sub-table refs per upstream block — the
-    shared exchange step of hash_aggregate / hash_join / asof_join.
+    shared exchange step of hash_aggregate and :func:`_co_partitioned`.
     """
     split_refs = [
         _split_block.options(num_returns=p if p > 1 else 1).remote(
@@ -214,9 +222,11 @@ def hash_aggregate(
 
     ``merge_fn``: vectorized pandas reduction applied once per bucket
     (e.g. ``df.groupby(keys).sum()``).  Returns a ray.data.Dataset of the
-    merged rows.  ``num_partitions`` defaults to size-adaptive (see
+    merged rows.  The fan-out is size-adaptive (see
     :func:`auto_num_partitions`): one bucket per ~64 MB of exchanged
-    partials, so a reducer's bucket always fits in worker memory.
+    partials, so a reducer's bucket always fits in worker memory.  Pass
+    ``num_partitions`` only when the bucket count is part of the result,
+    as a bucketed layout's is.
     With ``arrow=True`` the reducer takes and returns a ``pa.Table``
     instead — the right mode for nested (list-typed) outputs, whose
     empty-bucket schema a pandas round-trip cannot preserve.
@@ -233,12 +243,56 @@ def hash_aggregate(
     return ray.data.from_arrow_refs(merged)
 
 
+def _side(pieces) -> pa.Table:
+    """One side of a bucket as one table.  A side with no blocks at all
+    (an empty materialized Dataset) is the 0-row table with no columns,
+    the same shape a fully-pruned read's blocks already take, so every
+    bucket body handles both cases with one schemaless-side guard."""
+    if not pieces:
+        return pa.table({})
+    return pa.concat_tables(pieces, promote_options="permissive")
+
+
+@ray.remote
+def _pair_bucket(body, args, n_left: int, *pieces: pa.Table) -> pa.Table:
+    """One bucket of a two-sided exchange: ``body(left, right, *args)``
+    over the bucket's left and right pieces."""
+    return body(_side(pieces[:n_left]), _side(pieces[n_left:]), *args)
+
+
+def _co_partitioned(body, args, keys: Sequence[str], left, ds_right):
+    """Co-partition two sides on ``keys`` and run ``body`` once per bucket.
+
+    ``left`` is a Dataset — both sides are materialized and the fan-out
+    is :func:`auto_num_partitions` over their summed bytes — or a
+    :class:`PartitionedTable`, whose build side is already split at its
+    own fan-out, so only ``ds_right`` moves.  Returns a Dataset of one
+    block per bucket.
+    """
+    if isinstance(left, PartitionedTable):
+        right_refs, _ = _materialized(ds_right)
+        p, ls = left.num_partitions, left._pieces
+    else:
+        left_refs, lbytes = _materialized(left)
+        right_refs, rbytes = _materialized(ds_right)
+        p = auto_num_partitions(lbytes + rbytes)
+        ls = _partitioned_refs(left_refs, keys, p)
+    rs = _partitioned_refs(right_refs, keys, p)
+    return ray.data.from_arrow_refs(
+        [
+            _pair_bucket.remote(
+                body, args, len(ls), *[s[b] for s in ls], *[s[b] for s in rs]
+            )
+            for b in range(p)
+        ]
+    )
+
+
 def hash_join(
     ds_left,
     ds_right,
     on: Sequence[str],
     merge_fn: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
-    num_partitions: int | None = None,
     how: str = "inner",
 ):
     """Explicit partitioned hash join of two Datasets on ``on`` keys.
@@ -249,59 +303,32 @@ def hash_join(
     never materializes).  This is the both-sides-large path; for a small
     side prefer a broadcast ``pc.is_in`` / dict lookup in map_batches.
 
-    ``num_partitions`` defaults to size-adaptive on the SUM of both
-    sides' bytes.  Skew note: a hot join key lands in one bucket; raise
-    the fan-out and/or pre-aggregate the skewed side first (the merge_fn
-    hook exists precisely so the fat join output collapses inside the
-    bucket task).
+    The fan-out is size-adaptive on the SUM of both sides' bytes.  Skew
+    note: a hot join key lands in one bucket; use :func:`skew_join`,
+    which salts only the hot keys, and/or pre-aggregate the skewed side
+    first (the merge_fn hook exists precisely so the fat join output
+    collapses inside the bucket task).
     """
     keys = list(on)
-    left_refs, lbytes = _materialized(ds_left)
-    right_refs, rbytes = _materialized(ds_right)
-    p = num_partitions or auto_num_partitions(lbytes + rbytes)
-    ls = _partitioned_refs(left_refs, keys, p)
-    rs = _partitioned_refs(right_refs, keys, p)
-    merged = [
-        _join_bucket.remote(
-            keys,
-            how,
-            merge_fn,
-            len(ls),
-            *[ls[i][b] for i in range(len(ls))],
-            *[rs[i][b] for i in range(len(rs))],
-        )
-        for b in range(p)
-    ]
-    return ray.data.from_arrow_refs(merged)
+    return _co_partitioned(
+        _join_body, (keys, how, merge_fn), keys, ds_left, ds_right
+    )
 
 
-@ray.remote
-def _join_bucket(keys, how, merge_fn, n_left: int, *pieces: pa.Table) -> pa.Table:
+def _join_body(lt: pa.Table, rt: pa.Table, keys, how, merge_fn) -> pa.Table:
     """One bucket's vectorized pd.merge (shared by hash_join and
     PartitionedTable.join — identical semantics by construction)."""
     # empty piece tables still carry their schema, so the merge below
-    # yields correctly-typed (possibly zero-row) output per bucket;
-    # a side with NO blocks at all (empty materialized dataset) is the
-    # same case as all-blocks-schemaless below
-    lp, rp = pieces[:n_left], pieces[n_left:]
-    ldf = (
-        pa.concat_tables(lp, promote_options="permissive").to_pandas()
-        if lp
-        else pd.DataFrame()
-    )
-    rdf = (
-        pa.concat_tables(rp, promote_options="permissive").to_pandas()
-        if rp
-        else pd.DataFrame()
-    )
+    # yields correctly-typed (possibly zero-row) output per bucket
+    ldf, rdf = lt.to_pandas(), rt.to_pandas()
     # a side whose EVERY block was 0-row-schemaless (fully-pruned
-    # pushdown read; Ray skips map fns on empty blocks) arrives with
-    # no columns at all.  The join result is well-defined (0 rows)
-    # whenever the schemaless side is NOT null-extended: inner with
-    # either side empty, left with an empty LEFT, right with an
-    # empty RIGHT.  Only when the typed side's rows must survive
-    # padded with the schemaless side's columns is there genuinely
-    # no schema to synthesize.
+    # pushdown read; Ray skips map fns on empty blocks), or that has no
+    # blocks at all, arrives with no columns.  The join result is
+    # well-defined (0 rows) whenever the schemaless side is NOT
+    # null-extended: inner with either side empty, left with an empty
+    # LEFT, right with an empty RIGHT.  Only when the typed side's rows
+    # must survive padded with the schemaless side's columns is there
+    # genuinely no schema to synthesize.
     l_bare = not len(ldf) and any(k not in ldf.columns for k in keys)
     r_bare = not len(rdf) and any(k not in rdf.columns for k in keys)
     if l_bare or r_bare:
@@ -341,18 +368,18 @@ class PartitionedTable:
 
     The probe is split with the same key hash and fan-out, so bucket
     co-location (and therefore join exactness) is identical to
-    :func:`hash_join` — the per-bucket task is literally the same
-    remote function.  The build side is the LEFT side of every join.
+    :func:`hash_join` — the per-bucket body is literally the same
+    function.  The build side is the LEFT side of every join.
 
-    Fan-out is sized on the BUILD side's bytes (override with
-    ``num_partitions``); probes are expected to be no larger than the
-    build side — for a bigger probe, build on the probe instead.
+    Fan-out is sized on the BUILD side's bytes; probes are expected to
+    be no larger than the build side — for a bigger probe, build on the
+    probe instead.
     """
 
-    def __init__(self, ds, key_cols: Sequence[str], num_partitions: int | None = None):
+    def __init__(self, ds, key_cols: Sequence[str]):
         refs, nbytes = _materialized(ds)
         self.key_cols = list(key_cols)
-        self.num_partitions = num_partitions or auto_num_partitions(nbytes)
+        self.num_partitions = auto_num_partitions(nbytes)
         self._pieces = _partitioned_refs(refs, self.key_cols, self.num_partitions)
 
     def join(
@@ -367,29 +394,16 @@ class PartitionedTable:
         merge_fn=..., how=...)`` — the probe side pays the only new
         exchange.
         """
-        probe_refs, _ = _materialized(probe_ds)
-        ps = _partitioned_refs(probe_refs, self.key_cols, self.num_partitions)
-        n_left = len(self._pieces)
-        merged = [
-            _join_bucket.remote(
-                self.key_cols,
-                how,
-                merge_fn,
-                n_left,
-                *[self._pieces[i][b] for i in range(n_left)],
-                *[ps[i][b] for i in range(len(ps))],
-            )
-            for b in range(self.num_partitions)
-        ]
-        return ray.data.from_arrow_refs(merged)
+        return _co_partitioned(
+            _join_body,
+            (self.key_cols, how, merge_fn),
+            self.key_cols,
+            self,
+            probe_ds,
+        )
 
 
-def hash_anti_join(
-    ds_left,
-    ds_right,
-    on: str,
-    num_partitions: int | None = None,
-):
+def hash_anti_join(ds_left, ds_right, on: str):
     """Distributed anti-join: left rows whose ``on`` key does NOT occur
     in the right side.  Both sides hash-partition on the key; each bucket
     filters with an Arrow ``is_in`` against its own (small) key set — the
@@ -401,41 +415,26 @@ def hash_anti_join(
     inverts from win to bottleneck once the set reaches ~10^6 ids; here
     each task sees only its bucket's 1/P share.
     """
+    return _co_partitioned(_anti_body, (on,), [on], ds_left, ds_right)
+
+
+def _anti_body(lt: pa.Table, rt: pa.Table, on: str) -> pa.Table:
+    """One bucket of :func:`hash_anti_join`."""
     import pyarrow.compute as _pc
 
-    lrefs, lbytes = _materialized(ds_left)
-    rrefs, rbytes = _materialized(ds_right)
-    num_partitions = num_partitions or auto_num_partitions(lbytes + rbytes)
-    ls = _partitioned_refs(lrefs, [on], num_partitions)
-    rs = _partitioned_refs(rrefs, [on], num_partitions)
-
-    @ray.remote
-    def _anti_bucket(n_left: int, *pieces: pa.Table) -> pa.Table:
-        lt = pa.concat_tables(pieces[:n_left], promote_options="permissive")
-        rt = pa.concat_tables(pieces[n_left:], promote_options="permissive")
-        if lt.num_rows == 0:
-            return lt
-        if rt.num_rows == 0:
-            return lt.filter(_pc.is_valid(lt[on]))
-        keys = _pc.unique(rt[on].combine_chunks())
-        # drop null left keys explicitly (SQL NOT IN semantics): Arrow's
-        # is_in yields false — not null — for null inputs, so the
-        # fill_null idiom silently KEPT them
-        ok = _pc.and_(
-            _pc.is_valid(lt[on]),
-            _pc.invert(_pc.fill_null(_pc.is_in(lt[on], value_set=keys), True)),
-        )
-        return lt.filter(ok)
-
-    merged = [
-        _anti_bucket.remote(
-            len(ls),
-            *[ls[i][b] for i in range(len(ls))],
-            *[rs[i][b] for i in range(len(rs))],
-        )
-        for b in range(num_partitions)
-    ]
-    return ray.data.from_arrow_refs(merged)
+    if lt.num_rows == 0:
+        return lt
+    if rt.num_rows == 0:
+        return lt.filter(_pc.is_valid(lt[on]))
+    keys = _pc.unique(rt[on].combine_chunks())
+    # drop null left keys explicitly (SQL NOT IN semantics): Arrow's
+    # is_in yields false — not null — for null inputs, so the
+    # fill_null idiom silently KEPT them
+    ok = _pc.and_(
+        _pc.is_valid(lt[on]),
+        _pc.invert(_pc.fill_null(_pc.is_in(lt[on], value_set=keys), True)),
+    )
+    return lt.filter(ok)
 
 
 # Below this many right-side keys, shipping the whole key set into every
@@ -446,7 +445,7 @@ def hash_anti_join(
 _BROADCAST_ANTI_CAP_DEFAULT = 1_000_000
 
 
-def anti_membership(ds_left, ds_right, on: str, num_partitions: int | None = None):
+def anti_membership(ds_left, ds_right, on: str):
     """Size-adaptive anti-join: left rows whose ``on`` key does NOT
     occur in the right side (null left keys dropped, matching
     :func:`hash_anti_join`).
@@ -500,7 +499,7 @@ def anti_membership(ds_left, ds_right, on: str, num_partitions: int | None = Non
         # HLL rel. error ~1.6% at p=12 — boundary wobble only shifts
         # which of two correct paths runs, never the result
         if hll_estimate(hll_merge(regs)) > cap:
-            return hash_anti_join(ds_left, mds_right, on, num_partitions)
+            return hash_anti_join(ds_left, mds_right, on)
         # distinct is under the cap but the per-block-deduped rows are
         # not (duplicates span blocks): a direct collect would pull
         # n_blocks x up-to-cap rows onto the driver.  One key-only
@@ -511,9 +510,7 @@ def anti_membership(ds_left, ds_right, on: str, num_partitions: int | None = Non
             u = _pc.unique(pa.Array.from_pandas(df[on]))
             return pd.DataFrame({on: u.to_pandas()})
 
-        mds_right = hash_aggregate(
-            mds_right, [on], _dedup_keys, num_partitions
-        ).materialize()
+        mds_right = hash_aggregate(mds_right, [on], _dedup_keys).materialize()
     tables = [
         t
         for t in ray.get(mds_right.to_arrow_refs())
@@ -554,7 +551,6 @@ def asof_join(
     by: str,
     left_on: str,
     right_on: str,
-    num_partitions: int | None = None,
     direction: str = "backward",
 ):
     """Distributed as-of join: for each left row, the latest right row of
@@ -577,68 +573,57 @@ def asof_join(
     engine-defined in every system — project only tie-invariant right
     columns (e.g. the time itself) if results must be comparable.
     """
-    lrefs, lbytes = _materialized(ds_left)
-    rrefs, rbytes = _materialized(ds_right)
-    num_partitions = num_partitions or auto_num_partitions(lbytes + rbytes)
-    ls = _partitioned_refs(lrefs, [by], num_partitions)
-    rs = _partitioned_refs(rrefs, [by], num_partitions)
+    return _co_partitioned(
+        _asof_body, (by, left_on, right_on, direction), [by], ds_left, ds_right
+    )
 
-    @ray.remote
-    def _asof_bucket(n_left: int, *pieces: pa.Table) -> pa.Table:
-        lt = pa.concat_tables(pieces[:n_left]).replace_schema_metadata(None)
-        rt = pa.concat_tables(pieces[n_left:]).replace_schema_metadata(None)
-        lcols = lt.schema.names
-        rcols = [c for c in rt.schema.names if c != by]
-        out_names = lcols + [
-            c if c not in lcols else f"{c}_right" for c in rcols
+
+def _asof_body(
+    lt: pa.Table, rt: pa.Table, by: str, left_on: str, right_on: str, direction: str
+) -> pa.Table:
+    """One bucket of :func:`asof_join`."""
+    lt = lt.replace_schema_metadata(None)
+    rt = rt.replace_schema_metadata(None)
+    lcols = lt.schema.names
+    rcols = [c for c in rt.schema.names if c != by]
+    out_names = lcols + [c if c not in lcols else f"{c}_right" for c in rcols]
+
+    def _empty() -> pa.Table:
+        fields = [lt.schema.field(c) for c in lcols] + [
+            pa.field(name, rt.schema.field(orig).type)
+            for name, orig in zip(out_names[len(lcols) :], rcols)
         ]
+        return pa.schema(fields).empty_table()
 
-        def _empty() -> pa.Table:
-            fields = [lt.schema.field(c) for c in lcols] + [
-                pa.field(name, rt.schema.field(orig).type)
-                for name, orig in zip(out_names[len(lcols) :], rcols)
-            ]
-            return pa.schema(fields).empty_table()
+    if lt.num_rows == 0 or rt.num_rows == 0:
+        return _empty()
 
-        if lt.num_rows == 0 or rt.num_rows == 0:
-            return _empty()
-
-        ldf = lt.to_pandas().sort_values(left_on, kind="mergesort")
-        rdf = rt.to_pandas().sort_values(right_on, kind="mergesort")
-        rdf_probe = rdf[[by, right_on]].copy()
-        rdf_probe["__asof_row__"] = np.arange(len(rdf), dtype=np.int64)
-        merged = pd.merge_asof(
-            ldf,
-            rdf_probe,
-            left_on=left_on,
-            right_on=right_on,
-            left_by=by,
-            right_by=by,
-            direction=direction,
-            allow_exact_matches=True,
-            suffixes=("", "__probe__"),
-        )
-        hit = merged["__asof_row__"].notna().to_numpy()
-        if not hit.any():
-            return _empty()
-        matched_left = merged.loc[hit, lcols].reset_index(drop=True)
-        ridx = merged.loc[hit, "__asof_row__"].astype(np.int64).to_numpy()
-        matched_right = rdf.iloc[ridx][rcols].reset_index(drop=True)
-        matched_right.columns = out_names[len(lcols) :]
-        out = pd.concat([matched_left, matched_right], axis=1)
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
-
-    merged = [
-        _asof_bucket.remote(
-            len(ls),
-            *[ls[i][b] for i in range(len(ls))],
-            *[rs[i][b] for i in range(len(rs))],
-        )
-        for b in range(num_partitions)
-    ]
-    return ray.data.from_arrow_refs(merged)
+    ldf = lt.to_pandas().sort_values(left_on, kind="mergesort")
+    rdf = rt.to_pandas().sort_values(right_on, kind="mergesort")
+    rdf_probe = rdf[[by, right_on]].copy()
+    rdf_probe["__asof_row__"] = np.arange(len(rdf), dtype=np.int64)
+    merged = pd.merge_asof(
+        ldf,
+        rdf_probe,
+        left_on=left_on,
+        right_on=right_on,
+        left_by=by,
+        right_by=by,
+        direction=direction,
+        allow_exact_matches=True,
+        suffixes=("", "__probe__"),
+    )
+    hit = merged["__asof_row__"].notna().to_numpy()
+    if not hit.any():
+        return _empty()
+    matched_left = merged.loc[hit, lcols].reset_index(drop=True)
+    ridx = merged.loc[hit, "__asof_row__"].astype(np.int64).to_numpy()
+    matched_right = rdf.iloc[ridx][rcols].reset_index(drop=True)
+    matched_right.columns = out_names[len(lcols) :]
+    out = pd.concat([matched_left, matched_right], axis=1)
+    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
+        None
+    )
 
 
 def range_join(
@@ -649,7 +634,6 @@ def range_join(
     right_lo: str,
     right_hi: str,
     merge_fn: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
-    num_partitions: int | None = None,
 ):
     """Distributed equi-key interval (range) join: each left row (a point
     ``left_on``) matches every right row of the same ``by`` key whose
@@ -676,52 +660,47 @@ def range_join(
     joins); DuckDB twin: ``JOIN ON l.by = r.by AND l.on >= r.lo AND
     l.on < r.hi``.
     """
-    keys = [by]
-    lrefs, lbytes = _materialized(ds_left)
-    rrefs, rbytes = _materialized(ds_right)
-    p = num_partitions or auto_num_partitions(lbytes + rbytes)
-    ls = _partitioned_refs(lrefs, keys, p)
-    rs = _partitioned_refs(rrefs, keys, p)
+    return _co_partitioned(
+        _range_body,
+        (by, left_on, right_lo, right_hi, merge_fn),
+        [by],
+        ds_left,
+        ds_right,
+    )
 
-    @ray.remote
-    def _range_bucket(n_left: int, *pieces: pa.Table) -> pa.Table:
-        ldf = pa.concat_tables(
-            pieces[:n_left], promote_options="permissive"
-        ).to_pandas()
-        rdf = pa.concat_tables(
-            pieces[n_left:], promote_options="permissive"
-        ).to_pandas()
-        # range join is inner: a side whose every block was 0-row and
-        # schemaless (fully-pruned pushdown read) yields the well-defined
-        # empty result — same guard hash_join carries
-        if (not len(ldf) and by not in ldf.columns) or (
-            not len(rdf) and by not in rdf.columns
-        ):
-            return pa.table({})
-        cand = ldf.merge(rdf, on=keys, how="inner", suffixes=("", "_right"))
-        # resolve the interval columns from the RIGHT side's pre-merge
-        # names: when the LEFT table also has a column named right_lo,
-        # pandas keeps the left one unsuffixed — probing cand.columns
-        # would silently evaluate the predicate against the left column
-        lo = f"{right_lo}_right" if right_lo in ldf.columns else right_lo
-        hi = f"{right_hi}_right" if right_hi in ldf.columns else right_hi
-        pt = cand[left_on]
-        out = cand[(pt >= cand[lo]) & (pt < cand[hi])].reset_index(drop=True)
-        if merge_fn is not None:
-            out = merge_fn(out)
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
 
-    merged = [
-        _range_bucket.remote(
-            len(ls),
-            *[ls[i][b] for i in range(len(ls))],
-            *[rs[i][b] for i in range(len(rs))],
-        )
-        for b in range(p)
-    ]
-    return ray.data.from_arrow_refs(merged)
+def _range_body(
+    lt: pa.Table,
+    rt: pa.Table,
+    by: str,
+    left_on: str,
+    right_lo: str,
+    right_hi: str,
+    merge_fn,
+) -> pa.Table:
+    """One bucket of :func:`range_join`."""
+    ldf, rdf = lt.to_pandas(), rt.to_pandas()
+    # range join is inner: a schemaless side (no blocks, or every block
+    # 0-row and column-less after a fully-pruned pushdown read) yields
+    # the well-defined empty result — same guard hash_join carries
+    if (not len(ldf) and by not in ldf.columns) or (
+        not len(rdf) and by not in rdf.columns
+    ):
+        return pa.table({})
+    cand = ldf.merge(rdf, on=[by], how="inner", suffixes=("", "_right"))
+    # resolve the interval columns from the RIGHT side's pre-merge
+    # names: when the LEFT table also has a column named right_lo,
+    # pandas keeps the left one unsuffixed — probing cand.columns
+    # would silently evaluate the predicate against the left column
+    lo = f"{right_lo}_right" if right_lo in ldf.columns else right_lo
+    hi = f"{right_hi}_right" if right_hi in ldf.columns else right_hi
+    pt = cand[left_on]
+    out = cand[(pt >= cand[lo]) & (pt < cand[hi])].reset_index(drop=True)
+    if merge_fn is not None:
+        out = merge_fn(out)
+    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
+        None
+    )
 
 
 # A broadcast side is shipped into EVERY task closure: only genuinely
@@ -770,108 +749,112 @@ def range_sort(
     last regardless of direction.  Skew: splitters adapt to the sampled
     distribution, so a dense key region gets more ranges; a single
     mega-duplicated key value still lands in one range — pre-aggregate
-    such keys first (same prescription as hash_join).
+    such keys first (same prescription as hash_join).  The range count
+    is size-adaptive; ``num_partitions`` pins it where a caller persists
+    one file per range (the sorted and z-order layouts).
     """
     refs, nbytes = _materialized(ds)
     p = num_partitions or auto_num_partitions(nbytes)
-
-    def _key_values(t: pa.Table):
-        """(values ndarray, null mask) for the key column, WITHOUT the
-        int->float widening of a plain to_pandas/to_numpy on nullable
-        int blocks (precision loss above 2^53 would misplace rows near
-        splitter boundaries — same trap _hash_key_column closes)."""
-        import pyarrow.compute as _pc
-
-        if key not in t.schema.names:
-            # a fully-pruned read can emit a 0-row block with NO schema
-            # (Ray skips map fns on empty blocks); it carries no keys,
-            # so sample/route it as empty rather than KeyError
-            if t.num_rows == 0:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-            raise KeyError(
-                f"range_sort: key column {key!r} missing from a "
-                f"{t.num_rows}-row block (schema {t.schema.names})"
-            )
-        arr = t[key]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        nulls = _pc.is_null(arr).to_numpy(zero_copy_only=False)
-        if pa.types.is_integer(arr.type):
-            vals = _pc.fill_null(arr.cast(pa.int64()), 0).to_numpy(
-                zero_copy_only=False
-            )
-        else:
-            vals = arr.to_numpy(zero_copy_only=False)
-        return vals, nulls
-
-    @ray.remote
-    def _sample(t: pa.Table) -> np.ndarray:
-        vals, nulls = _key_values(t)
-        col = vals[~nulls]
-        if col.dtype.kind == "f":
-            col = col[~np.isnan(col)]  # NaN splitters would poison ranges
-        if len(col) <= samples_per_block:
-            return col
-        idx = np.linspace(0, len(col) - 1, samples_per_block).astype(np.int64)
-        return col[idx]
-
     if p > 1:
-        sampled = np.concatenate(ray.get([_sample.remote(r) for r in refs]))
+        sampled = np.concatenate(
+            ray.get([_sample.remote(r, key, samples_per_block) for r in refs])
+        )
         sampled.sort()
         if len(sampled) == 0:
             p = 1
         else:
             q = np.linspace(0, len(sampled), p + 1)[1:-1].astype(np.int64)
             splitters = sampled[np.minimum(q, len(sampled) - 1)]
-
-    @ray.remote
-    def _split_ranges(t: pa.Table, splits: np.ndarray, n: int):
-        vals, null_mask = _key_values(t)
-        rng = np.empty(len(vals), dtype=np.int64)
-        nn = ~null_mask
-        # searchsorted only over non-null values: None in an object
-        # (string) column has no ordering and would raise
-        rng[nn] = np.searchsorted(splits, vals[nn], side="right")
-        if descending:
-            rng[nn] = (n - 1) - rng[nn]
-        rng[null_mask] = n - 1  # nulls ride the last range
-        order = np.argsort(rng, kind="stable")
-        sorted_t = t.take(pa.array(order))
-        counts = np.bincount(rng, minlength=n)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        out = [sorted_t.slice(offsets[i], counts[i]) for i in range(n)]
-        return out if n > 1 else out[0]
-
-    @ray.remote
-    def _sort_range(*pieces: pa.Table) -> pa.Table:
-        t = pa.concat_tables(
-            [x for x in pieces], promote_options="permissive"
-        )
-        if t.num_rows == 0:
-            return t
-        import pyarrow.compute as _pc
-
-        idx = _pc.sort_indices(
-            t,
-            sort_keys=[(key, "descending" if descending else "ascending")],
-            null_placement="at_end",
-        )
-        return t.take(idx)
-
     if p == 1:
-        return ray.data.from_arrow_refs(
-            [_sort_range.remote(*refs)]
-        )
+        return ray.data.from_arrow_refs([_sort_range.remote(key, descending, *refs)])
     split = [
-        _split_ranges.options(num_returns=p).remote(r, splitters, p)
+        _split_ranges.options(num_returns=p).remote(r, key, splitters, p, descending)
         for r in refs
     ]
     split = [list(s) for s in split]
     ordered = [
-        _sort_range.remote(*[split[i][b] for i in range(len(split))])
+        _sort_range.remote(key, descending, *[split[i][b] for i in range(len(split))])
         for b in range(p)
     ]
     return ray.data.from_arrow_refs(ordered)
+
+
+def _key_values(t: pa.Table, key: str):
+    """(values ndarray, null mask) for range_sort's key column, WITHOUT
+    the int->float widening of a plain to_pandas/to_numpy on nullable
+    int blocks (precision loss above 2^53 would misplace rows near
+    splitter boundaries — same trap _hash_key_column closes)."""
+    import pyarrow.compute as _pc
+
+    if key not in t.schema.names:
+        # a fully-pruned read can emit a 0-row block with NO schema
+        # (Ray skips map fns on empty blocks); it carries no keys,
+        # so sample/route it as empty rather than KeyError
+        if t.num_rows == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+        raise KeyError(
+            f"range_sort: key column {key!r} missing from a "
+            f"{t.num_rows}-row block (schema {t.schema.names})"
+        )
+    arr = t[key]
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    nulls = _pc.is_null(arr).to_numpy(zero_copy_only=False)
+    if pa.types.is_integer(arr.type):
+        vals = _pc.fill_null(arr.cast(pa.int64()), 0).to_numpy(
+            zero_copy_only=False
+        )
+    else:
+        vals = arr.to_numpy(zero_copy_only=False)
+    return vals, nulls
+
+
+@ray.remote
+def _sample(t: pa.Table, key: str, samples_per_block: int) -> np.ndarray:
+    vals, nulls = _key_values(t, key)
+    col = vals[~nulls]
+    if col.dtype.kind == "f":
+        col = col[~np.isnan(col)]  # NaN splitters would poison ranges
+    if len(col) <= samples_per_block:
+        return col
+    idx = np.linspace(0, len(col) - 1, samples_per_block).astype(np.int64)
+    return col[idx]
+
+
+@ray.remote
+def _split_ranges(
+    t: pa.Table, key: str, splits: np.ndarray, n: int, descending: bool
+):
+    vals, null_mask = _key_values(t, key)
+    rng = np.empty(len(vals), dtype=np.int64)
+    nn = ~null_mask
+    # searchsorted only over non-null values: None in an object
+    # (string) column has no ordering and would raise
+    rng[nn] = np.searchsorted(splits, vals[nn], side="right")
+    if descending:
+        rng[nn] = (n - 1) - rng[nn]
+    rng[null_mask] = n - 1  # nulls ride the last range
+    order = np.argsort(rng, kind="stable")
+    sorted_t = t.take(pa.array(order))
+    counts = np.bincount(rng, minlength=n)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    out = [sorted_t.slice(offsets[i], counts[i]) for i in range(n)]
+    return out if n > 1 else out[0]
+
+
+@ray.remote
+def _sort_range(key: str, descending: bool, *pieces: pa.Table) -> pa.Table:
+    t = _side(pieces)
+    if t.num_rows == 0:
+        return t
+    import pyarrow.compute as _pc
+
+    idx = _pc.sort_indices(
+        t,
+        sort_keys=[(key, "descending" if descending else "ascending")],
+        null_placement="at_end",
+    )
+    return t.take(idx)
 
 
 def collect_sorted(ds_or_table, sort_cols, ascending=None) -> pd.DataFrame:
@@ -945,7 +928,6 @@ def global_kth_smallest(
     ds,
     col: str,
     k: int,
-    num_partitions: int | None = None,
     distinct_cap: int = 2_000_000,
 ):
     """Exact k-th smallest (1-indexed) value of an integer column — the
@@ -976,7 +958,6 @@ def global_kth_smallest(
         ds.map_batches(hist, batch_format="pyarrow"),
         [col],
         lambda df: df.groupby(col, sort=False).sum().reset_index(),
-        num_partitions=num_partitions,
     )
     tabs = ray.get(list(folded.to_arrow_refs()))
     tabs = [t for t in tabs if t.num_rows]
@@ -1005,7 +986,6 @@ def interval_overlap_join(
     right_hi: str,
     granule: int,
     merge_fn: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
-    num_partitions: int | None = None,
 ):
     """KEYLESS interval-overlap join: every (left, right) pair of
     half-open int64 intervals with ``[llo, lhi) ∩ [rlo, rhi) != ∅`` —
@@ -1080,19 +1060,17 @@ def interval_overlap_join(
         )
         return merge_fn(out) if merge_fn is not None else out
 
-    return hash_join(
-        el, er, ["_g"], merge_fn=filt, num_partitions=num_partitions
-    )
+    return hash_join(el, er, ["_g"], merge_fn=filt)
 
 
 # ---------------------------------------------------------------------------
 # Automatic skew-hardened join: detect hot keys, salt only them.
 #
-# hash_join's docstring tells the caller to handle skew by hand (raise
-# fan-out / pre-aggregate / salt).  skew_join automates the playbook the
-# `salted_hot_join` query certifies: a cheap key-only detection pass
-# lower-bounds each key's frequency from per-block top-k partials, and
-# the join then salts ONLY the keys above threshold — hot left rows
+# A hot join key lands in one hash_join bucket whatever the fan-out.
+# skew_join automates the salting playbook the `salted_hot_join` query
+# certifies: a cheap key-only detection pass lower-bounds each key's
+# frequency from per-block top-k partials, and the join then salts
+# ONLY the keys above threshold — hot left rows
 # spread across `num_salts` sub-buckets, the matching right rows are
 # replicated once per salt, cold keys pay nothing (salt 0, exactly one
 # right copy).  One exchange, inner-join semantics, results identical
@@ -1161,7 +1139,6 @@ def skew_join(
     ds_right,
     on: str,
     merge_fn: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
-    num_partitions: int | None = None,
     num_salts: int = 16,
     hot_threshold: int = 1_000_000,
     hot_keys=None,
@@ -1192,13 +1169,7 @@ def skew_join(
     if hot_keys is None:
         hot_keys = detect_hot_keys(ds_left, on, hot_threshold)
     if len(hot_keys) == 0:
-        return hash_join(
-            ds_left,
-            ds_right,
-            [on],
-            merge_fn=merge_fn,
-            num_partitions=num_partitions,
-        )
+        return hash_join(ds_left, ds_right, [on], merge_fn=merge_fn)
     hot_ref = ray.put(hot_keys)
     n_salts = int(num_salts)
 
@@ -1244,5 +1215,4 @@ def skew_join(
         ds_right.map_batches(right_replicate, batch_format="pyarrow"),
         [on, "_salt"],
         merge_fn=inner_merge,
-        num_partitions=num_partitions,
     )

@@ -265,7 +265,6 @@ def semantic_dedup_pairs(
     id_col: str = "vec_id",
     vec_col: str = "embedding",
     surface_sink: str | None = None,
-    num_partitions: int | None = None,
     pair_chunk_cells: int = 4_000_000,
 ):
     """SemDeDup-style semantic near-dup pairs (Abbas et al. 2023,
@@ -353,6 +352,4 @@ def semantic_dedup_pairs(
             return empty.empty_table()
         return pa.concat_tables(outs)
 
-    return hash_aggregate(
-        assigned, ["cluster"], cluster_pairs, num_partitions=num_partitions, arrow=True
-    )
+    return hash_aggregate(assigned, ["cluster"], cluster_pairs, arrow=True)

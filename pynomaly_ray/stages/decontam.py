@@ -203,7 +203,7 @@ def _distinct_shingle_rows(docs_ds, k: int):
     return docs_ds.map_batches(emit, batch_format="pyarrow")
 
 
-def duplicate_span_profile(docs_ds, k: int = 4, num_partitions: int | None = None):
+def duplicate_span_profile(docs_ds, k: int = 4):
     """Cross-doc duplicated k-gram profile — the corpus-level substring
     dedup signal (Lee et al. 2021, "Deduplicating Training Data Makes
     Language Models Better", approximated at k-word-gram granularity):
@@ -242,7 +242,7 @@ def duplicate_span_profile(docs_ds, k: int = 4, num_partitions: int | None = Non
             }
         )
 
-    flagged = hash_aggregate(rows, ["sh"], flag, num_partitions=num_partitions)
+    flagged = hash_aggregate(rows, ["sh"], flag)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("doc_id", sort=False)["dup"].agg(["size", "sum"])
@@ -259,7 +259,7 @@ def duplicate_span_profile(docs_ds, k: int = 4, num_partitions: int | None = Non
             }
         )
 
-    return hash_aggregate(flagged, ["doc_id"], fold, num_partitions=num_partitions)
+    return hash_aggregate(flagged, ["doc_id"], fold)
 
 
 def repetition_profile(docs_ds, k: int = 2):
@@ -370,7 +370,7 @@ def decontaminate_bloom(
     )
 
 
-def duplicate_span_removal(docs_ds, k: int = 4, num_partitions: int | None = None):
+def duplicate_span_removal(docs_ds, k: int = 4):
     """Substring-dedup REMOVAL (the acting counterpart of
     :func:`duplicate_span_profile`, after Lee et al. 2021 at k-word-gram
     granularity): rewrite each document with every token that lies
@@ -405,7 +405,7 @@ def duplicate_span_removal(docs_ds, k: int = 4, num_partitions: int | None = Non
         n = df.groupby("sh", sort=False)["doc_id"].transform("size")
         return df[n.to_numpy() >= 2]
 
-    dup_rows = hash_aggregate(rows, ["sh"], flag, num_partitions=num_partitions)
+    dup_rows = hash_aggregate(rows, ["sh"], flag)
 
     def tag_text(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -503,12 +503,10 @@ def duplicate_span_removal(docs_ds, k: int = 4, num_partitions: int | None = Non
             }
         )
 
-    return hash_aggregate(
-        tagged, ["doc_id"], rebuild, num_partitions=num_partitions, arrow=True
-    )
+    return hash_aggregate(tagged, ["doc_id"], rebuild, arrow=True)
 
 
-def ngram_novelty_profile(docs_ds, k: int = 4, num_partitions: int | None = None):
+def ngram_novelty_profile(docs_ds, k: int = 4):
     """Per-doc novelty attribution: of the doc's DISTINCT k-word
     shingles, how many are FIRST seen in this doc, attributing each
     shingle to its minimum doc_id (the deterministic "who contributed
@@ -536,7 +534,7 @@ def ngram_novelty_profile(docs_ds, k: int = 4, num_partitions: int | None = None
             }
         )
 
-    flagged = hash_aggregate(rows, ["sh"], flag, num_partitions=num_partitions)
+    flagged = hash_aggregate(rows, ["sh"], flag)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("doc_id", sort=False)["novel"].agg(["size", "sum"])
@@ -553,7 +551,7 @@ def ngram_novelty_profile(docs_ds, k: int = 4, num_partitions: int | None = None
             }
         )
 
-    return hash_aggregate(flagged, ["doc_id"], fold, num_partitions=num_partitions)
+    return hash_aggregate(flagged, ["doc_id"], fold)
 
 
 def winnow_profile(docs_ds, k: int = 3, w: int = 4):

@@ -1180,7 +1180,6 @@ def prefix_jaccard_pairs(
     *,
     num: int = 1,
     den: int = 2,
-    num_partitions: int | None = None,
     group_cap: int = 10_000,
 ):
     """EXACT word-set-Jaccard similarity join over (doc_id, text):
@@ -1229,9 +1228,8 @@ def prefix_jaccard_pairs(
         lambda df: df.groupby(nul_safe_key(df["token"]), sort=False)
         .agg(token=("token", "first"), doc_freq=("doc_id", "size"))
         .reset_index(drop=True),
-        num_partitions=num_partitions,
     )
-    decorated = hash_join(tok, dfs, ["token"], num_partitions=num_partitions)
+    decorated = hash_join(tok, dfs, ["token"])
 
     def prefix_rows(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -1255,9 +1253,7 @@ def prefix_jaccard_pairs(
             {"token": out["token"].to_numpy(), "doc_id": out["doc_id"].to_numpy()}
         )
 
-    pref = hash_aggregate(
-        decorated, ["doc_id"], prefix_rows, num_partitions=num_partitions
-    )
+    pref = hash_aggregate(decorated, ["doc_id"], prefix_rows)
 
     def cand_pairs(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.array([], dtype="string")
@@ -1288,9 +1284,7 @@ def prefix_jaccard_pairs(
         )
         return pd.DataFrame({"doc_a": a, "doc_b": b})
 
-    cands = hash_aggregate(
-        pref, ["token"], cand_pairs, num_partitions=num_partitions
-    )
+    cands = hash_aggregate(pref, ["token"], cand_pairs)
 
     def _rename(col_id: str, col_text: str):
         def _f(t: pa.Table) -> pa.Table:
@@ -1311,9 +1305,8 @@ def prefix_jaccard_pairs(
         texts_a,
         ["doc_a"],
         merge_fn=lambda df: df.drop_duplicates(["doc_a", "doc_b"]),
-        num_partitions=num_partitions,
     )
-    with_b = hash_join(with_a, texts_b, ["doc_b"], num_partitions=num_partitions)
+    with_b = hash_join(with_a, texts_b, ["doc_b"])
     stats = with_b.map_batches(_wordset_pair_stats, batch_format="pyarrow")
 
     def keep(t: pa.Table) -> pa.Table:

@@ -94,7 +94,7 @@ def _bigram_occurrences(uh: np.ndarray, woff: np.ndarray, lengths: np.ndarray):
     return big[valid], uh[:m][valid], doc_of[valid]
 
 
-def bigram_lm_scores(docs_ds, num_partitions: int | None = None):
+def bigram_lm_scores(docs_ds):
     """Per-doc (doc_id, n_big, p_e6_total) over a (doc_id, text)
     Dataset: the summed 1e6-scaled add-one-smoothed bigram probability.
     Docs with < 2 tokens have no bigrams and are excluded (the SQL twin
@@ -160,9 +160,7 @@ def bigram_lm_scores(docs_ds, num_partitions: int | None = None):
         n = df["uni"].nunique()
         return pd.DataFrame({"n": pd.array([n], dtype=np.int64)})
 
-    v_parts = hash_aggregate(
-        uni_rows, ["uni"], uni_distinct, num_partitions=num_partitions
-    ).to_pandas()
+    v_parts = hash_aggregate(uni_rows, ["uni"], uni_distinct).to_pandas()
     vocab_v = int(v_parts["n"].sum())
 
     # exchange 1 (bigram-keyed): c2 = global occurrence count per bigram,
@@ -178,9 +176,7 @@ def bigram_lm_scores(docs_ds, num_partitions: int | None = None):
             }
         )
 
-    big_rows = hash_aggregate(
-        big_only, ["big"], attach_c2, num_partitions=num_partitions
-    )
+    big_rows = hash_aggregate(big_only, ["big"], attach_c2)
 
     # exchange 2 (unigram-keyed): c1 = prefix occurrence count; score each
     # bigram occurrence on the exact integer grid
@@ -193,9 +189,7 @@ def bigram_lm_scores(docs_ds, num_partitions: int | None = None):
         )
         return pd.DataFrame({"doc_id": b["doc_id"].to_numpy(), "p_e6": p_e6})
 
-    scored = hash_aggregate(
-        big_rows.union(uni_rows), ["uni"], score, num_partitions=num_partitions
-    )
+    scored = hash_aggregate(big_rows.union(uni_rows), ["uni"], score)
 
     # exchange 3 (doc-keyed): per-doc totals
     def fold(df: pd.DataFrame) -> pd.DataFrame:
@@ -208,4 +202,4 @@ def bigram_lm_scores(docs_ds, num_partitions: int | None = None):
             }
         )
 
-    return hash_aggregate(scored, ["doc_id"], fold, num_partitions=num_partitions)
+    return hash_aggregate(scored, ["doc_id"], fold)

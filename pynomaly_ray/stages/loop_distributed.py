@@ -20,24 +20,21 @@ Choose the bucketer accordingly:
 - hyperplane-LSH buckets over embeddings: approximate global LoOP,
   quality improves with fewer/larger buckets.
 
-Execution: one raw Ray task per bucket (the buckets are the shuffle;
-each task runs the vectorized loop_core fit on its slice), orchestrated
-over ObjectRefs — the same explicit-exchange pattern as
-functions/exchange.py.  Bucket size must satisfy
+Execution: one keyed :func:`~pynomaly_ray.functions.exchange.hash_aggregate`
+exchange (the buckets are the shuffle) whose per-bucket reducer runs the
+vectorized loop_core fit on its slice.  Bucket size must satisfy
 ``bucket_rows > n_neighbors`` (loop_core's ClusterSizeError contract)
 and fit one worker's memory; size ``num_buckets`` to rows/target.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+import functools
+from typing import Callable, Optional
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-import ray
-
 
 
 def _fit_group(X: np.ndarray, n_neighbors: int, extent: int) -> np.ndarray:
@@ -60,28 +57,26 @@ def _fit_group(X: np.ndarray, n_neighbors: int, extent: int) -> np.ndarray:
         )
 
 
-@ray.remote
 def _loop_bucket(
+    t: pa.Table,
     id_col: str,
     vec_col: str,
     label_col,
     n_neighbors: int,
     extent: int,
-    *pieces: pa.Table,
 ) -> pa.Table:
-    tables = [t for t in pieces if t.num_rows]
-    if not tables:
+    """LoOP scores of one exchange bucket -> (id_col, loop_score)."""
+    if t.num_rows == 0:
         # keep the id column's real type so all blocks unify
-        id_type = pieces[0].schema.field(id_col).type if pieces else pa.int64()
         return pa.table(
             {
-                id_col: pa.array([], id_type),
+                id_col: pa.array([], t.schema.field(id_col).type),
                 "loop_score": pa.array([], pa.float64()),
             }
         )
     # strip pandas metadata: Ray's tensor-extension reconstruction hints
     # don't round-trip through worker processes for ndarray cells
-    df = pa.concat_tables(tables).replace_schema_metadata(None).to_pandas()
+    df = t.replace_schema_metadata(None).to_pandas()
     ids = df[id_col].to_numpy()
     X = np.stack([np.asarray(v, dtype=np.float64) for v in df[vec_col]])
 
@@ -139,31 +134,25 @@ def distributed_loop_scores(
     else:
         key, label_col = [id_col], None
 
-    from pynomaly_ray.functions.exchange import (
-        _partitioned_refs,
-        auto_num_partitions,
-    )
+    from pynomaly_ray.functions.exchange import auto_num_partitions, hash_aggregate
 
-    mds = ds.materialize()
     if num_buckets is None:
-        try:
-            nbytes = mds.size_bytes() or 0
-        except Exception:
-            nbytes = 0
-        max_p = max(1, mds.count() // (n_neighbors + 1))
-        p = max(1, min(auto_num_partitions(nbytes), max_p))
-    else:
-        p = num_buckets
-    cols = _partitioned_refs(mds.to_arrow_refs(), key, p)
-    out = [
-        _loop_bucket.remote(
-            id_col,
-            vec_col,
-            label_col,
-            n_neighbors,
-            extent,
-            *[cols[i][b] for i in range(len(cols))],
+        ds = ds.materialize()
+        max_p = max(1, ds.count() // (n_neighbors + 1))
+        num_buckets = max(
+            1, min(auto_num_partitions(ds.size_bytes() or 0), max_p)
         )
-        for b in range(p)
-    ]
-    return ray.data.from_arrow_refs(out)
+    return hash_aggregate(
+        ds,
+        key,
+        functools.partial(
+            _loop_bucket,
+            id_col=id_col,
+            vec_col=vec_col,
+            label_col=label_col,
+            n_neighbors=n_neighbors,
+            extent=extent,
+        ),
+        num_partitions=num_buckets,
+        arrow=True,
+    )

@@ -88,9 +88,7 @@ def _check_chunk(chunk: int) -> None:
         raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
 
 
-def pack_offsets(
-    ds, chunk: int, num_partitions: int | None = None, sort_col: str = "doc_id"
-):
+def pack_offsets(ds, chunk: int, sort_col: str = "doc_id"):
     """Per-doc packed placement over a (doc_id, n_tok[, ...]) Dataset:
     (doc_id, n_tok, seq_first, seq_last, off_in_seq) where sequences are
     ``chunk``-token windows of the ``sort_col``-ordered token
@@ -101,7 +99,7 @@ def pack_offsets(
     duplicated key would make the global order, and with it every
     offset, partition-dependent."""
     _check_chunk(chunk)
-    sorted_ds = range_sort(ds, sort_col, num_partitions)
+    sorted_ds = range_sort(ds, sort_col)
     refs = sorted_ds.to_arrow_refs()
     # base ordering must follow the SAME key the blocks were ranged on:
     # ordering by min doc_id while ranging on a curriculum key would
@@ -150,7 +148,7 @@ def pack_offsets(
     )
 
 
-def pack_tokens(ds, chunk: int, num_partitions: int | None = None):
+def pack_tokens(ds, chunk: int):
     """Assemble the packed sequences themselves from a
     (doc_id, tokens:list<int32>) Dataset: returns a Dataset of
     (seq_id, tokens:list<int32>) where every sequence holds exactly
@@ -171,7 +169,7 @@ def pack_tokens(ds, chunk: int, num_partitions: int | None = None):
         )
 
     ds = ds.map_batches(with_len, batch_format="pyarrow")
-    sorted_ds = range_sort(ds, "doc_id", num_partitions)
+    sorted_ds = range_sort(ds, "doc_id")
     refs = sorted_ds.to_arrow_refs()
     bases = _block_prefix_bases(refs, "n_tok")
 
@@ -277,10 +275,10 @@ def pack_tokens(ds, chunk: int, num_partitions: int | None = None):
             {"seq_id": pa.array(seq[run_at], pa.int64()), "tokens": tokens}
         )
 
-    return hash_aggregate(pieces, ["seq_id"], assemble, num_partitions, arrow=True)
+    return hash_aggregate(pieces, ["seq_id"], assemble, arrow=True)
 
 
-def epoch_shuffle(ds, seed: int, num_partitions: int | None = None):
+def epoch_shuffle(ds, seed: int):
     """Deterministic training-epoch shuffle: every doc gets a
     pseudo-random ``shuffle_key`` from the Knuth multiplicative hash of
     ``(doc_id + seed) mod 2^32`` and a dense global ``pos`` (0..n-1) in
@@ -311,7 +309,7 @@ def epoch_shuffle(ds, seed: int, num_partitions: int | None = None):
         )
 
     keyed = ds.map_batches(stamp, batch_format="pyarrow")
-    sorted_ds = range_sort(keyed, "shuffle_key", num_partitions)
+    sorted_ds = range_sort(keyed, "shuffle_key")
     refs = sorted_ds.to_arrow_refs()
     bases = _block_prefix_bases(refs, None, key_col="shuffle_key")
 

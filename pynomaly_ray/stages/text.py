@@ -201,7 +201,7 @@ def batch_token_counts(t: pa.Table, by_doc: bool) -> pa.Table:
     )
 
 
-def tfidf_top_terms(docs_ds, num_partitions: int | None = None):
+def tfidf_top_terms(docs_ds):
     """Per-doc top TF-IDF term — the classic distinctive-term signal
     (corpus indexing / topic labeling in curation pipelines).
 
@@ -282,7 +282,7 @@ def tfidf_top_terms(docs_ds, num_partitions: int | None = None):
             }
         )
 
-    scored = hash_aggregate(rows, ["token"], score, num_partitions=num_partitions)
+    scored = hash_aggregate(rows, ["token"], score)
 
     def top1(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(
@@ -293,7 +293,7 @@ def tfidf_top_terms(docs_ds, num_partitions: int | None = None):
         out = df.drop_duplicates("doc_id", keep="first")
         return out.rename(columns={"token": "top_term"}).reset_index(drop=True)
 
-    return hash_aggregate(scored, ["doc_id"], top1, num_partitions=num_partitions)
+    return hash_aggregate(scored, ["doc_id"], top1)
 
 
 def chunk_documents(docs_ds, chunk_words: int = 32):
@@ -392,7 +392,7 @@ def normalize_text(docs_ds):
     return docs_ds.map_batches(norm, batch_format="pyarrow")
 
 
-def source_vocab_overlap(docs_ds, num_partitions: int | None = None):
+def source_vocab_overlap(docs_ds):
     """Pairwise vocabulary overlap between sources: for every source
     pair sharing at least one token, the exact intersection size and
     Jaccard similarity of their DISTINCT token sets — the
@@ -502,9 +502,7 @@ def source_vocab_overlap(docs_ds, num_partitions: int | None = None):
             }
         )
 
-    buckets = hash_aggregate(
-        rows, ["tok"], fold, num_partitions=num_partitions
-    ).to_pandas()
+    buckets = hash_aggregate(rows, ["tok"], fold).to_pandas()
     from pynomaly_ray.functions.hashing import nul_safe_key
 
     # nul_safe_key on the driver merge too: a plain object-string
@@ -539,7 +537,6 @@ def bm25_topk(
     k: int = 20,
     k1: float = 1.2,
     b: float = 0.75,
-    num_partitions=None,
 ):
     """Distributed BM25 retrieval: the top-``k`` documents for a bag of
     ``query_terms`` -> (doc_id, score) pandas frame, score descending.
@@ -641,7 +638,6 @@ def bm25_topk(
         lambda d: d.groupby("token", sort=False)
         .agg(df=("doc_id", "nunique"))
         .reset_index(),
-        num_partitions=num_partitions,
     ).to_pandas()
     # no posting row anywhere (terms absent from the corpus): the
     # keyed exchange returns a columnless empty frame
@@ -676,7 +672,6 @@ def bm25_topk(
         lambda d: d.groupby("doc_id", sort=False)
         .agg(score=("score", "sum"))
         .reset_index(),
-        num_partitions=num_partitions,
     )
     out = topk(per_doc, ["score", "doc_id"], k, [True, False])
     return out.reset_index(drop=True)[["doc_id", "score"]]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,27 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+@contextlib.contextmanager
+def pinned_fanout(p: int):
+    """Pin every size-adaptive exchange inside the block to ``p`` buckets.
+
+    Each exchange looks ``auto_num_partitions`` up as a module global at
+    call time, so replacing it reaches the joins, ``hash_aggregate``,
+    ``range_sort`` and every stage built on them.  A plain context
+    manager rather than a fixture, so one hypothesis example can pin its
+    own ``p``.  Where a test only needs "many buckets",
+    ``PNR_BUCKET_TARGET_BYTES`` set small does that through the real
+    rule."""
+    from pynomaly_ray.functions import exchange
+
+    real = exchange.auto_num_partitions
+    exchange.auto_num_partitions = lambda total_bytes: p
+    try:
+        yield
+    finally:
+        exchange.auto_num_partitions = real
 
 
 # ---------------------------------------------------------------------------

@@ -114,3 +114,132 @@ def test_allowlist_entries_are_still_defined_and_unused():
     used = _used_names()
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
     assert not set(ALLOWED) & used, sorted(set(ALLOWED) & used)
+
+
+# ---------------------------------------------------------------------------
+# Fan-out parameters.  Every exchange sizes its fan-out with
+# ``functions/exchange.auto_num_partitions``; a ``num_partitions`` or
+# ``num_buckets`` parameter survives only where a production caller pins
+# a count that is part of the result.  Tests pin the fan-out with
+# ``tests/conftest.pinned_fanout`` instead of a parameter.
+# ---------------------------------------------------------------------------
+_FANOUT_PARAMS = ("num_partitions", "num_buckets")
+_LAYOUT_OP = "persisted layout op"
+FANOUT_SURVIVORS = {
+    "hash_aggregate": "sources/bucketed.py passes the layout's bucket count; "
+    "queries_wave56/59 pass 32",
+    "range_sort": "pipelines/queries.py passes 8",
+    "write_sorted": "cli layout --partitions and the sorted-layout queries",
+    "append_sorted": "pipelines/queries.py passes 3",
+    "compact_sorted": "cli compact --partitions",
+    "write_zorder": "cli layout --partitions and queries_wave27",
+    "_cluster_and_write": "write_zorder forwards its count",
+    "append_zorder": _LAYOUT_OP,
+    "write_bucketed": "cli layout and the bucketed queries",
+    "distributed_loop_scores": "cli loop --buckets and the LoOP queries",
+}
+
+
+def _fanout_definitions():
+    """name -> (parameter, positional index or None) for every function
+    under ``pynomaly_ray/`` with a fan-out parameter; a class's
+    ``__init__`` is filed under the class name, ``self`` not counted."""
+    defs = {}
+    for path in _py_files(PACKAGE):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef):
+                fns = [
+                    (node.name, f, 1)
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                ]
+            elif isinstance(node, ast.FunctionDef) and node.name != "__init__":
+                fns = [(node.name, node, 0)]
+            else:
+                continue
+            for name, fn, skip in fns:
+                pos = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+                kw = [a.arg for a in fn.args.kwonlyargs]
+                for prm in _FANOUT_PARAMS:
+                    if prm in pos:
+                        defs[name] = (prm, pos.index(prm) - skip)
+                    elif prm in kw:
+                        defs[name] = (prm, None)
+    return defs
+
+
+def _fanout_setters(defs):
+    """Definitions some production call passes a count to.  A call that
+    only forwards the caller's own fan-out parameter counts when the
+    forwarding definition is itself set."""
+    set_directly, forwards = set(), {}
+
+    def own_params(fn):
+        a = fn.args
+        return {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self):
+            self.stack = []
+
+        def visit_FunctionDef(self, node):
+            self.stack.append(node)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Call(self, node):
+            f = node.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            if name in defs:
+                prm, idx = defs[name]
+                vals = [k.value for k in node.keywords if k.arg == prm]
+                if idx is not None and len(node.args) > idx:
+                    vals.append(node.args[idx])
+                for v in vals:
+                    if isinstance(v, ast.Constant) and v.value is None:
+                        continue
+                    if isinstance(v, ast.Name) and v.id in _FANOUT_PARAMS:
+                        src = next(
+                            (
+                                fn.name
+                                for fn in reversed(self.stack)
+                                if v.id in own_params(fn)
+                            ),
+                            None,
+                        )
+                        forwards.setdefault(name, set()).add(src)
+                    else:
+                        set_directly.add(name)
+            self.generic_visit(node)
+
+    for root in PRODUCTION:
+        for path in _py_files(root):
+            Calls().visit(_parse(path))
+    setters = set(set_directly)
+    grew = True
+    while grew:
+        grew = False
+        for callee, sources in forwards.items():
+            if callee not in setters and sources & setters:
+                setters.add(callee)
+                grew = True
+    return setters
+
+
+def test_every_fanout_parameter_has_a_production_setter():
+    defs = _fanout_definitions()
+    setters = _fanout_setters(defs)
+    unset = sorted(
+        name
+        for name in defs
+        if name not in setters and FANOUT_SURVIVORS.get(name) != _LAYOUT_OP
+    )
+    assert not unset, (
+        "num_partitions/num_buckets parameters that no production caller "
+        "sets (delete them; tests pin the fan-out with "
+        "tests/conftest.pinned_fanout):\n" + "\n".join(unset)
+    )
+    assert set(defs) == set(FANOUT_SURVIVORS), (
+        "fan-out parameters must be listed in FANOUT_SURVIVORS with the "
+        "reason they stay: " + str(sorted(set(defs) ^ set(FANOUT_SURVIVORS)))
+    )

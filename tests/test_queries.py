@@ -9,6 +9,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from tests.conftest import pinned_fanout
+
 SF = "/root/testdata/sf0.001"
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
@@ -110,13 +112,55 @@ def test_hash_join_matches_pandas(ray_session):
         {"k": rng.randint(0, 50, 500), "x": rng.randn(500)}
     )
     right = pd.DataFrame({"k": np.arange(40), "y": np.arange(40) * 10})
-    out = hash_join(
-        rd.from_pandas(left), rd.from_pandas(right), ["k"], num_partitions=4
-    ).to_pandas()
+    with pinned_fanout(4):
+        out = hash_join(rd.from_pandas(left), rd.from_pandas(right), ["k"])
+    out = out.to_pandas()
     expect = left.merge(right, on=["k"], how="inner")
     assert len(out) == len(expect)
     assert out["x"].sum() == pytest.approx(expect["x"].sum())
     assert int(out["y"].sum()) == int(expect["y"].sum())
+
+
+def _two_sided(op, left, right):
+    from pynomaly_ray.functions import exchange as ex
+
+    if op == "hash_join":
+        return ex.hash_join(left, right, ["k"])
+    if op == "partitioned_table":
+        return ex.PartitionedTable(left, ["k"]).join(right)
+    if op == "hash_anti_join":
+        return ex.hash_anti_join(left, right, "k")
+    if op == "asof_join":
+        return ex.asof_join(left, right, by="k", left_on="t", right_on="t")
+    return ex.range_join(
+        left, right, by="k", left_on="t", right_lo="lo", right_hi="hi"
+    )
+
+
+@pytest.mark.parametrize("empty_side", ["left", "right"])
+@pytest.mark.parametrize(
+    "op",
+    ["hash_join", "partitioned_table", "hash_anti_join", "asof_join", "range_join"],
+)
+def test_two_sided_ops_take_a_side_with_no_blocks(ray_session, op, empty_side):
+    """A side with zero blocks (``from_items([])``) is an empty side: every
+    two-sided exchange answers as for a 0-row one, at one bucket and at
+    several.  Only the anti-join with nothing on the right keeps rows."""
+    import ray
+    import ray.data as rd
+
+    typed = rd.from_pandas(
+        pd.DataFrame({"k": [1, 2, 3], "t": [5, 6, 7], "lo": 0, "hi": 10})
+    )
+    empty = rd.from_items([])
+    left, right = (empty, typed) if empty_side == "left" else (typed, empty)
+    keeps_left = op == "hash_anti_join" and empty_side == "right"
+    for p in (1, 3):
+        with pinned_fanout(p):
+            out = _two_sided(op, left, right)
+        tabs = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+        keys = sorted(k for t in tabs for k in t["k"].to_pylist())
+        assert keys == ([1, 2, 3] if keeps_left else []), (op, empty_side, p)
 
 
 def test_auto_num_partitions_bounds(ray_session):
@@ -216,16 +260,16 @@ def test_asof_join_semantics(ray_session):
     right = pd.DataFrame(
         {"k": [1, 1, 2], "ts": [40, 90, 99], "val": np.array([7, 8, 9], dtype=np.int64)}
     )
-    out = (
-        asof_join(
+    with pinned_fanout(4):
+        out = asof_join(
             rd.from_pandas(left),
             rd.from_pandas(right),
             by="k",
             left_on="ts",
             right_on="ts",
-            num_partitions=4,
         )
-        .to_pandas()
+    out = (
+        out.to_pandas()
         .sort_values(["k", "ts"])
         .reset_index(drop=True)
     )
@@ -235,10 +279,11 @@ def test_asof_join_semantics(ray_session):
     assert list(out.ts_right) == [40, 90]
     assert out.val.dtype == np.int64  # no NaN-driven float widening
     # empty buckets (8 partitions, 2 keys) keep a stable schema
-    wide = asof_join(
-        rd.from_pandas(left), rd.from_pandas(right),
-        by="k", left_on="ts", right_on="ts", num_partitions=8,
-    )
+    with pinned_fanout(8):
+        wide = asof_join(
+            rd.from_pandas(left), rd.from_pandas(right),
+            by="k", left_on="ts", right_on="ts",
+        )
     assert wide.schema().names == ["k", "ts", "lv", "ts_right", "val"]
     assert wide.count() == 2
 
@@ -457,13 +502,9 @@ def test_hash_join_hot_key_bounded_by_preaggregation(ray_session):
             .reset_index()
         )
 
-    out = hash_join(
-        fact_partials,
-        rd.from_pandas(dim),
-        ["k"],
-        merge_fn=merge,
-        num_partitions=4,
-    ).to_pandas()
+    with pinned_fanout(4):
+        out = hash_join(fact_partials, rd.from_pandas(dim), ["k"], merge_fn=merge)
+    out = out.to_pandas()
     hot = out[out["k"] == 0].iloc[0]
     assert int(hot["cnt"]) == int((fact["k"] == 0).sum())
     assert int(hot["n_partials"]) <= n_blocks  # the skew bound held

@@ -12,6 +12,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from tests.conftest import pinned_fanout
+
 BASE = (
     "the quick brown fox jumps over the lazy dog while the cat watches "
     "from the fence and the birds sing in the morning light of summer"
@@ -373,18 +375,15 @@ def test_range_join_matches_pandas_reference(ray_session):
 
     expect = _range_join_reference(ldf, rdf, "k", "t", "lo", "hi")
     for p in (1, 4):
-        got = (
-            range_join(
+        with pinned_fanout(p):
+            got = range_join(
                 rd.from_pandas(ldf),
                 rd.from_pandas(rdf),
                 by="k",
                 left_on="t",
                 right_lo="lo",
                 right_hi="hi",
-                num_partitions=p,
-            )
-            .to_pandas()
-        )
+            ).to_pandas()
         got = got[expect.columns].sort_values(
             list(expect.columns), kind="mergesort"
         ).reset_index(drop=True)
@@ -415,8 +414,8 @@ def test_range_join_merge_fn_and_empty_buckets(ray_session):
         g["n"] = g["n"].astype(np.int64)
         return g
 
-    out = (
-        range_join(
+    with pinned_fanout(3):
+        out = range_join(
             rd.from_pandas(ldf),
             rd.from_pandas(rdf),
             by="k",
@@ -424,9 +423,9 @@ def test_range_join_merge_fn_and_empty_buckets(ray_session):
             right_lo="lo",
             right_hi="hi",
             merge_fn=agg,
-            num_partitions=3,
         )
-        .to_pandas()
+    out = (
+        out.to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
     )

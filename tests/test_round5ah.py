@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from tests.conftest import pinned_fanout
+
 
 def _sorted(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)]
@@ -40,9 +42,10 @@ def test_partitioned_table_matches_hash_join(ray_session):
     )
     bds = rd.from_pandas(build).repartition(5)
     pds = rd.from_pandas(probe).repartition(3)
-    pt = PartitionedTable(bds, ["k"], num_partitions=4)
-    got = _sorted(pt.join(pds).to_pandas())
-    want = _sorted(hash_join(bds, pds, ["k"], num_partitions=4).to_pandas())
+    with pinned_fanout(4):
+        pt = PartitionedTable(bds, ["k"])
+        got = _sorted(pt.join(pds).to_pandas())
+        want = _sorted(hash_join(bds, pds, ["k"]).to_pandas())
     pd.testing.assert_frame_equal(got, want)
 
 
@@ -59,13 +62,12 @@ def test_partitioned_table_left_join_and_merge_fn(ray_session):
         return df
 
     bds, pds = rd.from_pandas(build), rd.from_pandas(probe)
-    pt = PartitionedTable(bds, ["k"], num_partitions=3)
-    got = _sorted(pt.join(pds, merge_fn=fill, how="left").to_pandas())
-    want = _sorted(
-        hash_join(
-            bds, pds, ["k"], merge_fn=fill, how="left", num_partitions=3
-        ).to_pandas()
-    )
+    with pinned_fanout(3):
+        pt = PartitionedTable(bds, ["k"])
+        got = _sorted(pt.join(pds, merge_fn=fill, how="left").to_pandas())
+        want = _sorted(
+            hash_join(bds, pds, ["k"], merge_fn=fill, how="left").to_pandas()
+        )
     pd.testing.assert_frame_equal(got, want)
     # every build key survives the left join
     assert set(got["k"]) == {1, 2, 3, 4}
@@ -100,9 +102,10 @@ def test_partitioned_table_nul_and_null_keys(ray_session):
     probe = pd.DataFrame({"k": ["a\x00b", "a", "q", None], "x": [7, 8, 9, 1]})
     bds = rd.from_pandas(build).repartition(3)
     pds = rd.from_pandas(probe).repartition(2)
-    pt = PartitionedTable(bds, ["k"], num_partitions=4)
-    got = _sorted(pt.join(pds).to_pandas())
-    want = _sorted(hash_join(bds, pds, ["k"], num_partitions=4).to_pandas())
+    with pinned_fanout(4):
+        pt = PartitionedTable(bds, ["k"])
+        got = _sorted(pt.join(pds).to_pandas())
+        want = _sorted(hash_join(bds, pds, ["k"]).to_pandas())
     pd.testing.assert_frame_equal(got, want)
     # the NUL-distinct keys matched their exact twins only
     assert set(zip(got["k"], got["v"], got["x"])) >= {("a\x00b", 2, 7), ("a", 1, 8)}
@@ -115,6 +118,7 @@ def test_partitioned_table_empty_probe(ray_session):
     from pynomaly_ray.functions.exchange import PartitionedTable
 
     build = pd.DataFrame({"k": [1, 2], "v": [3, 4]})
-    pt = PartitionedTable(rd.from_pandas(build), ["k"], num_partitions=2)
+    with pinned_fanout(2):
+        pt = PartitionedTable(rd.from_pandas(build), ["k"])
     probe = rd.from_pandas(pd.DataFrame({"k": pd.Series(dtype=np.int64)}))
     assert pt.join(probe).count() == 0

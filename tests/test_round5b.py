@@ -17,6 +17,8 @@ import pytest
 import ray
 import ray.data as rd
 
+from tests.conftest import pinned_fanout
+
 
 def _docs_ds(rows, blocks=3):
     t = pa.table(
@@ -131,9 +133,10 @@ def test_pack_offsets_matches_numpy_prefix(ray_session):
         pa.table({"doc_id": pa.array(ids), "n_tok": pa.array(w)})
     ).repartition(5)
     chunk = 17
+    with pinned_fanout(4):
+        got = pack_offsets(ds, chunk=chunk)
     got = (
-        pack_offsets(ds, chunk=chunk, num_partitions=4)
-        .to_pandas()
+        got.to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
@@ -167,7 +170,8 @@ def test_pack_tokens_token_array_equality(ray_session):
     ids = rng.permutation(len(tok_lists)).astype(np.int64)
     ds = _token_ds(tok_lists, blocks=4, ids=list(ids))
     chunk = 16
-    out = pack_tokens(ds, chunk=chunk, num_partitions=3).to_pandas()
+    with pinned_fanout(3):
+        out = pack_tokens(ds, chunk=chunk).to_pandas()
     out = out.sort_values("seq_id").reset_index(drop=True)
 
     order = np.argsort(ids, kind="stable")
@@ -187,11 +191,8 @@ def test_pack_tokens_doc_spanning_many_sequences(ray_session):
 
     big = np.arange(40, dtype=np.int32)
     ds = _token_ds([np.array([7, 8], np.int32), big], blocks=2, ids=[2, 5])
-    out = (
-        pack_tokens(ds, chunk=8, num_partitions=2)
-        .to_pandas()
-        .sort_values("seq_id")
-    )
+    with pinned_fanout(2):
+        out = pack_tokens(ds, chunk=8).to_pandas().sort_values("seq_id")
     flat = np.concatenate([np.asarray(x) for x in out["tokens"]])
     np.testing.assert_array_equal(
         flat, np.concatenate([[7, 8], np.arange(40)]).astype(np.int32)
@@ -289,12 +290,9 @@ def test_epoch_shuffle_is_permutation_and_deterministic(ray_session):
 
     ids = np.random.default_rng(3).permutation(300).astype(np.int64)
     ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids)})).repartition(4)
-    a = (
-        epoch_shuffle(ds, seed=9, num_partitions=3)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
+    with pinned_fanout(3):
+        a = epoch_shuffle(ds, seed=9).to_pandas()
+    a = a.sort_values("doc_id").reset_index(drop=True)
     # pos is a dense permutation of 0..n-1
     assert sorted(a["pos"]) == list(range(len(ids)))
     # in-order walk of pos is (shuffle_key, doc_id)-sorted
@@ -306,14 +304,11 @@ def test_epoch_shuffle_is_permutation_and_deterministic(ray_session):
         ].values.tolist()
     )
     # same seed reproduces; different seed permutes differently
-    b = (
-        epoch_shuffle(ds, seed=9, num_partitions=3)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
+    with pinned_fanout(3):
+        b = epoch_shuffle(ds, seed=9).to_pandas()
+        c = epoch_shuffle(ds, seed=10).to_pandas()
+    b = b.sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
-    c = epoch_shuffle(ds, seed=10, num_partitions=3).to_pandas()
     merged = a.merge(c, on="doc_id", suffixes=("_a", "_c"))
     assert (merged["pos_a"] != merged["pos_c"]).any()
 
@@ -336,11 +331,9 @@ def test_pack_offsets_property_spans_partition_token_stream(ray_session):
         ds = rd.from_arrow(
             pa.table({"doc_id": pa.array(ids), "n_tok": pa.array(w)})
         ).repartition(int(rng.integers(1, 6)))
-        got = (
-            pack_offsets(ds, chunk=chunk, num_partitions=int(rng.integers(1, 5)))
-            .to_pandas()
-            .sort_values("doc_id")
-        )
+        with pinned_fanout(int(rng.integers(1, 5))):
+            got = pack_offsets(ds, chunk=chunk).to_pandas()
+        got = got.sort_values("doc_id")
         order = np.argsort(ids, kind="stable")
         w_s = w[order]
         start = np.concatenate([[0], np.cumsum(w_s)[:-1]])
@@ -368,11 +361,9 @@ def test_pack_tokens_null_token_rows_skipped(ray_session):
             "tokens": toks,
         }
     )
-    out = (
-        pack_tokens(rd.from_arrow(t), chunk=4, num_partitions=1)
-        .to_pandas()
-        .sort_values("seq_id")
-    )
+    with pinned_fanout(1):
+        out = pack_tokens(rd.from_arrow(t), chunk=4).to_pandas()
+    out = out.sort_values("seq_id")
     flat = np.concatenate([np.asarray(x) for x in out["tokens"]])
     np.testing.assert_array_equal(flat, np.array([1, 2, 3, 4, 5], np.int32))
 

@@ -13,6 +13,8 @@ import pyarrow.parquet as papq
 import pytest
 import ray
 
+from tests.conftest import pinned_fanout
+
 
 def _lev_ref(a: str, b: str) -> int:
     dp = list(range(len(b) + 1))
@@ -50,17 +52,17 @@ def test_range_join_left_side_shadows_interval_names(ray_session):
             "tag": ["a", "b", "c"],
         }
     )
-    out = (
-        range_join(
+    with pinned_fanout(3):
+        out = range_join(
             ray.data.from_pandas(ldf),
             ray.data.from_pandas(rdf),
             by="k",
             left_on="t",
             right_lo="lo",
             right_hi="hi",
-            num_partitions=3,
         )
-        .to_pandas()
+    out = (
+        out.to_pandas()
         .sort_values(["k", "t"])
         .reset_index(drop=True)
     )
@@ -95,17 +97,17 @@ def test_range_join_schemaless_empty_side(ray_session, tmp_path):
     right = ray.data.from_pandas(
         pd.DataFrame({"k": [1, 2], "lo": [0, 0], "hi": [10, 10]})
     )
-    out = range_join(
-        empty, right, by="k", left_on="t", right_lo="lo", right_hi="hi",
-        num_partitions=2,
-    )
+    with pinned_fanout(2):
+        out = range_join(
+            empty, right, by="k", left_on="t", right_lo="lo", right_hi="hi"
+        )
     assert out.count() == 0
     # and the mirrored orientation (typed left, schemaless right)
     left = read_parquet_clean(path)
-    out2 = range_join(
-        left, empty, by="k", left_on="t", right_lo="k", right_hi="k",
-        num_partitions=2,
-    )
+    with pinned_fanout(2):
+        out2 = range_join(
+            left, empty, by="k", left_on="t", right_lo="k", right_hi="k"
+        )
     assert out2.count() == 0
 
 
@@ -151,9 +153,10 @@ def test_pack_offsets_sort_col_order_disagrees_with_doc_id(ray_session):
     ds = ray.data.from_pandas(
         pd.DataFrame({"doc_id": ids, "n_tok": ntok, "key": key})
     )
+    with pinned_fanout(5):
+        placed = pack_offsets(ds, chunk=64, sort_col="key")
     placed = (
-        pack_offsets(ds, chunk=64, num_partitions=5, sort_col="key")
-        .to_pandas()
+        placed.to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
@@ -341,7 +344,8 @@ def test_prefix_jaccard_lossless_vs_bruteforce_fuzz(ray_session):
                 {"doc_id": [d[0] for d in docs], "text": [d[1] for d in docs]}
             )
         )
-        got = prefix_jaccard_pairs(ds, num=num, den=den, num_partitions=3)
+        with pinned_fanout(3):
+            got = prefix_jaccard_pairs(ds, num=num, den=den)
         got_t = sorted(
             zip(
                 got["doc_a"].astype(int),
@@ -640,16 +644,16 @@ def test_interval_overlap_join_matches_bruteforce_fuzz(ray_session):
         if llo[i] < rhi[j] and rlo[j] < lhi[i]
     )
     for granule in (13, 64, 1000):
-        out = interval_overlap_join(
-            ray.data.from_pandas(a),
-            ray.data.from_pandas(b),
-            "lo_a",
-            "hi_a",
-            "lo_b",
-            "hi_b",
-            granule=granule,
-            num_partitions=4,
-        ).to_pandas()
+        with pinned_fanout(4):
+            out = interval_overlap_join(
+                ray.data.from_pandas(a),
+                ray.data.from_pandas(b),
+                "lo_a",
+                "hi_a",
+                "lo_b",
+                "hi_b",
+                granule=granule,
+            ).to_pandas()
         got = sorted(zip(out["ka"].astype(int), out["kb"].astype(int)))
         assert got == want, f"granule={granule}"
 

@@ -157,6 +157,8 @@ def test_range_sort_tolerates_schemaless_empty_block(ray_session):
     ds = rd.from_arrow_refs([ray.put(typed), ray.put(bare), ray.put(typed)])
     out = range_sort(ds, "k", num_partitions=3).to_pandas()
     assert out["k"].tolist() == [1, 1, 3, 3, 5, 5, 9, 9]
+    # an input with no blocks at all sorts to nothing
+    assert range_sort(rd.from_items([]), "k").count() == 0
 
 
 def test_range_sort_missing_key_on_nonempty_block_raises(ray_session):

@@ -9,6 +9,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from tests.conftest import pinned_fanout
+
 
 # ---------------------------------------------------------------------------
 # text analysis
@@ -630,20 +632,16 @@ def test_asof_join_directions(ray_session):
     right = pd.DataFrame({"k": [1, 1, 1], "ts": [40, 60, 200], "val": [7, 8, 9]})
 
     def run(direction):
-        return (
-            asof_join(
+        with pinned_fanout(2):
+            out = asof_join(
                 rd.from_pandas(left),
                 rd.from_pandas(right),
                 by="k",
                 left_on="ts",
                 right_on="ts",
-                num_partitions=2,
                 direction=direction,
             )
-            .to_pandas()
-            .sort_values("ts")
-            .reset_index(drop=True)
-        )
+        return out.to_pandas().sort_values("ts").reset_index(drop=True)
 
     back = run("backward")
     assert list(back.ts) == [55, 300] and list(back.val) == [7, 9]
