@@ -151,16 +151,15 @@ def _bucket_of(table: pa.Table, key_cols: Sequence[str], p: int) -> np.ndarray:
 
 @ray.remote
 def _split_block(table: pa.Table, key_cols, p: int):
-    """One upstream block -> P bucket sub-tables (vectorized take)."""
+    """One upstream block -> P > 1 bucket sub-tables (vectorized take)."""
     if table.num_rows == 0:
-        return [table] * p if p > 1 else table
+        return [table] * p
     b = _bucket_of(table, key_cols, p)
     order = np.argsort(b, kind="stable")
     sorted_t = table.take(pa.array(order))
     counts = np.bincount(b, minlength=p)
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    out = [sorted_t.slice(offsets[i], counts[i]) for i in range(p)]
-    return out if p > 1 else out[0]
+    return [sorted_t.slice(offsets[i], counts[i]) for i in range(p)]
 
 
 @ray.remote
@@ -199,16 +198,15 @@ def _partitioned_refs(block_refs: list, key_cols: Sequence[str], p: int) -> list
 
     Returns one list of ``p`` sub-table refs per upstream block — the
     shared exchange step of hash_aggregate and :func:`_co_partitioned`.
+    One bucket holds every row in block order, so ``p == 1`` launches no
+    split task and hands each block on as its own piece.
     """
-    split_refs = [
-        _split_block.options(num_returns=p if p > 1 else 1).remote(
-            ref, list(key_cols), p
-        )
+    if p == 1:
+        return [[ref] for ref in block_refs]
+    return [
+        list(_split_block.options(num_returns=p).remote(ref, list(key_cols), p))
         for ref in block_refs
     ]
-    if p == 1:
-        return [[r] for r in split_refs]
-    return [list(refs) for refs in split_refs]
 
 
 def hash_aggregate(

@@ -13,6 +13,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+import ray
 import ray.data as rd
 
 from pynomaly_ray.pipelines.queries import _pq, collect_sorted
@@ -866,6 +867,43 @@ ENGINE_QUERIES = {
 _MATRIX_MODE_CAP = 4096
 
 
+@ray.remote
+def _fit_matrix_mode(path: str) -> pd.DataFrame:
+    import pyarrow.parquet as papq
+
+    from pynomaly_ray.loop_core import LocalOutlierProbability
+
+    t = papq.read_table(path, columns=["vec_id", "embedding"])
+    vec_ids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)
+    M = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
+    order = np.argsort(vec_ids, kind="stable")[:_MATRIX_MODE_CAP]
+    vec_ids, M = vec_ids[order], M[order]
+    # Manhattan distances (a metric loop_core's internal kNN lacks),
+    # computed in row chunks: the one-shot (n, n, d) broadcast would
+    # be n^2*d*8 bytes transient (8.6 GB at the 4096-row cap with
+    # d=64) — chunking keeps the temporary at chunk*n*d
+    k = 10
+    n = len(M)
+    D = np.empty((n, n), dtype=np.float64)
+    step = max(1, (1 << 24) // max(n * M.shape[1], 1))  # ~128MB temp
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        D[s:e] = np.abs(M[s:e, None, :] - M[None, :, :]).sum(axis=2)
+    np.fill_diagonal(D, np.inf)
+    idx = np.argpartition(D, k, axis=1)[:, :k]
+    dist = np.take_along_axis(D, idx, axis=1)
+    model = LocalOutlierProbability(
+        distance_matrix=dist, neighbor_matrix=idx, n_neighbors=k
+    ).fit()
+    scores = np.asarray(model.local_outlier_probabilities, dtype=np.float64)
+    return pd.DataFrame(
+        {
+            "vec_id": vec_ids,
+            "loop_e6": np.floor(scores * 1_000_000 + 0.5).astype(np.int64),
+        }
+    )
+
+
 def q_loop_matrix_mode(sf_dir: str):
     """LoOP via precomputed distance/neighbor matrices (the reference's
     bring-your-own-metric escape hatch, README.md:371-413) over
@@ -877,45 +915,8 @@ def q_loop_matrix_mode(sf_dir: str):
     documented input cap — the driver only collects the scored rows.
     Beyond the cap, bring-your-own-metric means bucketing first
     (q_loop_distributed) and matrix mode within each bucket."""
-    import ray
-
-    @ray.remote
-    def _fit(path: str) -> pd.DataFrame:
-        import pyarrow.parquet as papq
-
-        from pynomaly_ray.loop_core import LocalOutlierProbability
-
-        t = papq.read_table(path, columns=["vec_id", "embedding"])
-        vec_ids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)
-        M = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
-        order = np.argsort(vec_ids, kind="stable")[:_MATRIX_MODE_CAP]
-        vec_ids, M = vec_ids[order], M[order]
-        # Manhattan distances (a metric loop_core's internal kNN lacks),
-        # computed in row chunks: the one-shot (n, n, d) broadcast would
-        # be n^2*d*8 bytes transient (8.6 GB at the 4096-row cap with
-        # d=64) — chunking keeps the temporary at chunk*n*d
-        k = 10
-        n = len(M)
-        D = np.empty((n, n), dtype=np.float64)
-        step = max(1, (1 << 24) // max(n * M.shape[1], 1))  # ~128MB temp
-        for s in range(0, n, step):
-            e = min(s + step, n)
-            D[s:e] = np.abs(M[s:e, None, :] - M[None, :, :]).sum(axis=2)
-        np.fill_diagonal(D, np.inf)
-        idx = np.argpartition(D, k, axis=1)[:, :k]
-        dist = np.take_along_axis(D, idx, axis=1)
-        model = LocalOutlierProbability(
-            distance_matrix=dist, neighbor_matrix=idx, n_neighbors=k
-        ).fit()
-        scores = np.asarray(model.local_outlier_probabilities, dtype=np.float64)
-        return pd.DataFrame(
-            {
-                "vec_id": vec_ids,
-                "loop_e6": np.floor(scores * 1_000_000 + 0.5).astype(np.int64),
-            }
-        )
-
-    return ray.get(_fit.remote(os.path.join(sf_dir, "embeddings.parquet")))
+    path = os.path.join(sf_dir, "embeddings.parquet")
+    return ray.get(_fit_matrix_mode.remote(path))
 
 
 ENGINE_QUERIES["loop_matrix_mode"] = q_loop_matrix_mode
@@ -1574,8 +1575,6 @@ def q_cms_heavy_hitters(sf_dir: str):
         ["row", "col"],
         lambda df: df.groupby(["row", "col"], sort=False).sum().reset_index(),
     )
-    import ray
-
     grid = np.zeros((DEPTH, WIDTH), dtype=np.int64)
     for t in ray.get(list(cells.to_arrow_refs())):
         if t.num_rows:

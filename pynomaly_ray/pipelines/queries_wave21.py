@@ -62,19 +62,20 @@ def _per_customer_revenue(sf_dir: str):
     )
 
 
+@ray.remote
+def _revenue_block_stat(t: pa.Table) -> tuple:
+    if t.num_rows == 0 or "rev_cents" not in t.schema.names:
+        return (0, 0)
+    col = t["rev_cents"].to_numpy(zero_copy_only=False)
+    return (int(col.sum()), len(col))
+
+
 def q_customers_to_half_revenue(sf_dir: str):
     per_cust = _per_customer_revenue(sf_dir).materialize()
     ordered = range_sort(per_cust, "rev_cents", descending=True)
     refs = ordered.to_arrow_refs()
 
-    @ray.remote
-    def block_stat(t: pa.Table) -> tuple:
-        if t.num_rows == 0 or "rev_cents" not in t.schema.names:
-            return (0, 0)
-        col = t["rev_cents"].to_numpy(zero_copy_only=False)
-        return (int(col.sum()), len(col))
-
-    stats = ray.get([block_stat.remote(r) for r in refs])
+    stats = ray.get([_revenue_block_stat.remote(r) for r in refs])
     total = sum(s for s, _ in stats)
     total_customers = sum(c for _, c in stats)
     if total_customers == 0:

@@ -21,10 +21,11 @@ partition per batch + pre-aggregated doc counts), so below
 ``cfg.driver_collect_bytes`` it is collected once and reduced with
 vectorized pandas on the driver — zero extra Ray executions.  Above the
 threshold (true 10^12-row runs, where the doc_id pre-aggregates alone
-are large) the same reductions run distributed via ``hash_aggregate``
-(an explicit hash-partitioned exchange, functions/exchange.py).  Both
-paths produce byte-identical outputs; tests force the distributed one
-with ``driver_collect_bytes=0``.
+are large) they run as one wave of Ray tasks over the tagged blocks,
+then two hash-partitioned exchanges (functions/exchange.py) on the refs
+it returns: no Ray Data execution on either path.  Both paths produce
+identical outputs; tests force the distributed one with
+``driver_collect_bytes=0``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 import shutil
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,11 +51,7 @@ from pynomaly_ray.config import (
     VIOLATION_SCHEMA,
     ValidationConfig,
 )
-from pynomaly_ray.functions.exchange import (
-    anti_membership,
-    auto_num_partitions,
-    hash_aggregate,
-)
+from pynomaly_ray.functions.exchange import anti_membership, hash_aggregate
 from pynomaly_ray.functions.hashing import digest_floats
 from pynomaly_ray.sources.parquet import (
     SequenceParquetDatasource,
@@ -67,7 +65,7 @@ from pynomaly_ray.stages.uniqueness import (
     duplicates_from_docparts,
     hash_candidate_mask,
 )
-from pynomaly_ray.stages.validate import SequenceValidator, split_union
+from pynomaly_ray.stages.validate import UNION_SCHEMA, SequenceValidator
 from pynomaly_ray.state.commit import atomic_write, publish_dir
 from pynomaly_ray.state.drift import fit_drift_scores
 from pynomaly_ray.state.manifest import (
@@ -102,9 +100,9 @@ class ValidationResult:
     out_dir: Optional[str]
     n_sequences: int
     skipped_partitions: int
-    # When Stage B wrote violation rows distributed (volume above the
-    # driver cap), the parquet directory holding ALL of them — the
-    # authoritative source when ``violations`` was truncated to empty.
+    # When the distributed Stage B wrote the violation rows, the parquet
+    # directory holding ALL of them — the authoritative source when
+    # ``violations`` was truncated to empty (volume above the driver cap).
     violations_dir: Optional[str] = None
 
 
@@ -183,12 +181,7 @@ def _post_scan_local(tagged, cfg, out_dir, resume):
     *candidates* cross into Python objects."""
     tables = ray.get(tagged.to_arrow_refs())  # one call: parallel fetch
     tables = [t for t in tables if t.num_rows]
-    if tables:
-        all_t = pa.concat_tables(tables)
-    else:
-        from pynomaly_ray.stages.validate import UNION_SCHEMA
-
-        all_t = UNION_SCHEMA.empty_table()
+    all_t = pa.concat_tables(tables) if tables else UNION_SCHEMA.empty_table()
 
     kind = all_t["kind"]
     viol_df = (
@@ -206,25 +199,17 @@ def _post_scan_local(tagged, cfg, out_dir, resume):
     docparts = all_t.filter(pc.equal(kind, "docpart")).select(_DOCPART_COLS)
     prior = None
     if out_dir:
-        prior_dirs = _prior_docpart_dirs(out_dir, cfg.run_id, resume)
+        prior_files = parquet_files(*_prior_docpart_dirs(out_dir, cfg.run_id, resume))
         dp_dir = os.path.join(out_dir, "docparts", cfg.run_id)
         os.makedirs(dp_dir, exist_ok=True)
         atomic_write(
             os.path.join(dp_dir, "docparts.parquet"),
             lambda f: pq.write_table(docparts, f),
         )
-        if prior_dirs:
-            frames = []
-            for d in prior_dirs:
-                for f in sorted(os.listdir(d)):
-                    if f.endswith(".parquet"):
-                        frames.append(
-                            pq.read_table(
-                                os.path.join(d, f), columns=_DOCPART_COLS
-                            )
-                        )
-            if frames:
-                prior = pa.concat_tables(frames)
+        if prior_files:
+            prior = pa.concat_tables(
+                [pq.read_table(f, columns=_DOCPART_COLS) for f in prior_files]
+            )
 
     dup_df = _local_duplicates(docparts, prior)
     viol_df = pd.concat([viol_df, dup_df], ignore_index=True)
@@ -234,70 +219,111 @@ def _post_scan_local(tagged, cfg, out_dir, resume):
 _MAX_DRIVER_VIOLATIONS = 2_000_000
 
 
+def _write_violations(viol: pa.Table, path: Optional[str]) -> pa.Table:
+    """Write ``viol``'s rows at ``path`` (if any); return per-partition counts."""
+    if not viol.num_rows:  # an empty duplicate bucket may have no columns
+        viol = VIOLATION_SCHEMA.empty_table()
+    viol = viol.select(_VIOL_COLS).cast(VIOLATION_SCHEMA)
+    if path and viol.num_rows:
+        pq.write_table(viol, path)
+    return viol.group_by("partition_id", use_threads=False).aggregate(
+        [([], "count_all")]
+    )
+
+
+_write_bucket_violations = ray.remote(_write_violations)
+
+
+def _tag_prior(docparts: pa.Table, is_prior: int) -> pa.Table:
+    return docparts.append_column(
+        "is_prior", pa.array(np.full(docparts.num_rows, is_prior, np.int64))
+    )
+
+
+@ray.remote(num_returns=4)
+def _split_tagged(block: pa.Table, dp_path, viol_path):
+    """One tagged block -> its partial rows, its docpart rows tagged
+    ``is_prior=0``, its violation rows and their per-partition counts;
+    the docparts and violations are written at the paths (if given)."""
+    if not block.num_rows:  # 0-row blocks skip the validator: any schema
+        block = UNION_SCHEMA.empty_table()
+
+    def rows(kind, cols):
+        return block.filter(pc.equal(block["kind"], kind)).select(cols)
+
+    docparts, viol = rows("docpart", _DOCPART_COLS), rows("violation", _VIOL_COLS)
+    if dp_path and docparts.num_rows:
+        pq.write_table(docparts, dp_path)
+    return (
+        rows("partial", _PARTIAL_COLS),
+        _tag_prior(docparts, 0),
+        viol,
+        _write_violations(viol, viol_path),
+    )
+
+
+@ray.remote
+def _read_prior_docparts(path: str) -> pa.Table:
+    t = pq.read_table(path, columns=_DOCPART_COLS).replace_schema_metadata(None)
+    return _tag_prior(t, 1)
+
+
 def _post_scan_distributed(tagged, cfg, out_dir, resume):
-    """Same reductions via distributed exchanges (the 10^12-row path)."""
-    # The fused scan leaves one tagged block per read task, and each
-    # map and exchange split below costs a task per block: coalesce the
-    # stream once, to the exchange's own fan-out for its volume.
-    n_blocks = auto_num_partitions(tagged.size_bytes() or 0)
-    if tagged.num_blocks() > n_blocks:
-        tagged = tagged.repartition(n_blocks).materialize()
-    viol_ds = tagged.map_batches(
-        split_union("violation", _VIOL_COLS), batch_format="pyarrow"
-    )
-    partials_ds = tagged.map_batches(
-        split_union("partial", _PARTIAL_COLS), batch_format="pyarrow"
-    )
-    docparts_ds = tagged.map_batches(
-        split_union("docpart", _DOCPART_COLS), batch_format="pyarrow"
-    )
-
-    prior_docparts = None
+    """:func:`_post_scan_local`'s reductions as one wave of Ray tasks over
+    the tagged blocks, starting no Ray Data execution: one split task per
+    block and one read task per committed prior docparts file, then the
+    stats merge and the uniqueness exchange on their refs.  Tasks write
+    every violation block; the driver fetches the rows only when their
+    counts total at most ``_MAX_DRIVER_VIOLATIONS``, else it keeps the
+    per-partition counts.  With ``out_dir`` the violations directory
+    always holds a file, if an empty one, for the validated-rows sink."""
+    dp_dir = viol_dir = None
+    prior_files: list[str] = []
     if out_dir:
-        prior_dirs = _prior_docpart_dirs(out_dir, cfg.run_id, resume)
+        prior_files = parquet_files(*_prior_docpart_dirs(out_dir, cfg.run_id, resume))
         # a crashed attempt with this (uncommitted) run_id may have left
-        # files behind; write_parquet APPENDS uuid-named files, so clear
-        # the run's dir first or a committed retry double-counts every
-        # doc occurrence in later cross-run duplicate detection
+        # files that the retry's would add to: clear both dirs first
         dp_dir = os.path.join(out_dir, "docparts", cfg.run_id)
-        shutil.rmtree(dp_dir, ignore_errors=True)
-        docparts_ds.write_parquet(dp_dir)
-        if prior_dirs:
-            prior_docparts = read_parquet_clean(prior_dirs)
-
-    dup_ds = duplicates_from_docparts(docparts_ds, prior_docparts)
-
-    merged = hash_aggregate(
-        partials_ds, ["partition_id"], merge_partials_df
-    )
-    stats_df = merged.to_pandas()
-    if "partition_id" not in stats_df.columns:  # no valid rows at all
-        stats_df = _empty_df(_PARTIAL_COLS)
-
-    # Violation volume is unbounded on garbage inputs; rows always reach
-    # parquet distributedly (the caller skips its own driver-side write
-    # when wrote_distributed), and only rows up to a cap — else just the
-    # per-partition counts — are held on the driver.
-    all_viol = viol_ds.union(dup_ds).materialize()
-    wrote_distributed = False
-    if out_dir:
-        # mirror the docparts fix above: a crashed attempt's part files
-        # survive into the retry (write_parquet appends uuid-named
-        # files) and this dir is the authoritative violation source fed
-        # into write_validated_output's anti-join — clear it first
         viol_dir = os.path.join(out_dir, "violations", cfg.run_id)
-        shutil.rmtree(viol_dir, ignore_errors=True)
-        all_viol.write_parquet(viol_dir)
-        wrote_distributed = True
-    vcounts = None
-    if all_viol.count() <= _MAX_DRIVER_VIOLATIONS:
-        viol_df = all_viol.to_pandas()
-        if "partition_id" not in viol_df.columns:
-            viol_df = _empty_df(_VIOL_COLS)
-    else:
-        if not wrote_distributed:
-            import warnings
+        for d in (dp_dir, viol_dir):
+            shutil.rmtree(d, ignore_errors=True)
+            os.makedirs(d)
 
+    def part(d, name):
+        return os.path.join(d, f"{name}.parquet") if d else None
+
+    split = [
+        _split_tagged.remote(ref, *(part(d, f"{i:05d}") for d in (dp_dir, viol_dir)))
+        for i, ref in enumerate(tagged.to_arrow_refs())
+    ]
+    partials, docparts, viol, counts = ([s[k] for s in split] for k in range(4))
+    docparts += [_read_prior_docparts.remote(f) for f in prior_files]
+
+    # materialize() on a Dataset of refs runs no execution; to_arrow_refs()
+    # alone would run one
+    dups = duplicates_from_docparts(rd.from_arrow_refs(docparts))
+    dups = dups.materialize().to_arrow_refs()
+    viol += dups
+    counts += [
+        _write_bucket_violations.remote(t, part(viol_dir, f"dup-{b:05d}"))
+        for b, t in enumerate(dups)
+    ]
+    merged = hash_aggregate(
+        rd.from_arrow_refs(partials), ["partition_id"], merge_partials_df
+    )
+    merged = [t for t in ray.get(merged.materialize().to_arrow_refs()) if len(t)]
+    stats_df = (
+        pa.concat_tables(merged, promote_options="permissive").to_pandas()
+        if merged
+        else _empty_df(_PARTIAL_COLS)
+    )
+
+    counts = pa.concat_tables(ray.get(counts))  # never empty: P >= 1 buckets
+    n_viol = pc.sum(counts["count_all"]).as_py() or 0
+    if out_dir and not n_viol:
+        pq.write_table(VIOLATION_SCHEMA.empty_table(), part(viol_dir, "empty"))
+    if n_viol > _MAX_DRIVER_VIOLATIONS:
+        if not out_dir:
             warnings.warn(
                 f"violation rows exceed the driver cap "
                 f"({_MAX_DRIVER_VIOLATIONS}) and no out_dir was given: "
@@ -305,21 +331,16 @@ def _post_scan_distributed(tagged, cfg, out_dir, resume):
                 "survive. Pass out_dir to persist the rows.",
                 RuntimeWarning,
             )
-        viol_df = _empty_df(_VIOL_COLS)
+        vcounts = counts.to_pandas().groupby("partition_id")["count_all"].sum()
+        return _empty_df(_VIOL_COLS), stats_df, vcounts, bool(out_dir)
+    tables = [
+        t.select(_VIOL_COLS).cast(VIOLATION_SCHEMA)
+        for t in ray.get(viol)
+        if t.num_rows
+    ]
+    viol_df = pa.concat_tables(tables).to_pandas() if tables else _empty_df(_VIOL_COLS)
+    return viol_df, stats_df, None, bool(out_dir)
 
-        def count_partial(t: pa.Table) -> pa.Table:
-            g = t.to_pandas().groupby("partition_id", sort=False).size()
-            return pa.Table.from_pandas(
-                g.reset_index(name="cnt"), preserve_index=False
-            ).replace_schema_metadata(None)
-
-        counts = hash_aggregate(
-            all_viol.map_batches(count_partial, batch_format="pyarrow"),
-            ["partition_id"],
-            lambda df: df.groupby("partition_id", sort=False).sum().reset_index(),
-        ).to_pandas()
-        vcounts = counts.set_index("partition_id")["cnt"]
-    return viol_df, stats_df, vcounts, wrote_distributed
 
 
 def run_validation(
@@ -494,10 +515,8 @@ def _fitted_report(
         )
         scores = scored["loop_score"].to_numpy()
     else:
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             scores, frozen = fit_drift_scores(
                 stats_df,
                 n_neighbors=cfg.n_neighbors,

@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as papq
+import ray
 
 import ray.data as rd
 
@@ -492,6 +493,25 @@ def bucketed_asof_join(
     return ids.map_batches(asof_bucket, batch_format="pyarrow", batch_size=1)
 
 
+@ray.remote
+def _read_compacted(path: str, i: int, m: dict) -> pa.Table:
+    return _read_bucket(path, i, m)
+
+
+@ray.remote
+def _write_compacted(path: str, i: int, t: pa.Table) -> int:
+    d = os.path.join(path, f"bucket={i}")
+    for f in os.listdir(d):
+        if f.endswith(".parquet"):
+            os.remove(os.path.join(d, f))
+    if t.num_rows:
+        atomic_write(
+            os.path.join(d, "data.parquet"),
+            lambda f: papq.write_table(t.replace_schema_metadata(None), f),
+        )
+    return t.num_rows
+
+
 def compact_bucketed(path: str) -> dict:
     """Merge each bucket's generation files back into a single
     ``data.parquet`` — the small-file compaction an append-heavy
@@ -511,36 +531,16 @@ def compact_bucketed(path: str) -> dict:
     over; this in-place form fits layouts whose content fits the
     cluster's object store (spill included).
     """
-    import ray
-
     m = load_manifest(path)
     p = int(m["num_buckets"])
 
-    @ray.remote
-    def _read(i: int) -> pa.Table:
-        return _read_bucket(path, i, m)
-
-    refs = [_read.remote(i) for i in range(p)]
+    refs = [_read_compacted.remote(path, i, m) for i in range(p)]
     ray.wait(refs, num_returns=p)  # fully in the object store first
 
     os.remove(os.path.join(path, _MANIFEST))  # retract: refuse reads
 
-    @ray.remote
-    def _write(i: int, t: pa.Table) -> int:
-        d = os.path.join(path, f"bucket={i}")
-        for f in os.listdir(d):
-            if f.endswith(".parquet"):
-                os.remove(os.path.join(d, f))
-        if t.num_rows:
-            atomic_write(
-                os.path.join(d, "data.parquet"),
-                lambda f: papq.write_table(t.replace_schema_metadata(None), f),
-            )
-        return t.num_rows
-
-    n_rows = int(
-        sum(ray.get([_write.remote(i, r) for i, r in enumerate(refs)]))
-    )
+    done = [_write_compacted.remote(path, i, r) for i, r in enumerate(refs)]
+    n_rows = int(sum(ray.get(done)))
     m["rows"] = n_rows
     m["gen"] = 0
     write_json(os.path.join(path, _MANIFEST), m)  # commit

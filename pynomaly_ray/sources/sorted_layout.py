@@ -284,6 +284,22 @@ def zone_plan(path: str, lo=None, hi=None) -> list[str]:
     return out
 
 
+@ray.remote
+def _read_one(fp: str, key: str, lo_b, hi_b, cols_with_key, columns) -> pa.Table:
+    t = papq.read_table(fp, columns=cols_with_key)
+    mask = None
+    if lo_b is not None:
+        mask = pc.greater_equal(t[key], lo_b)
+    if hi_b is not None:
+        m2 = pc.less_equal(t[key], hi_b)
+        mask = m2 if mask is None else pc.and_(mask, m2)
+    if mask is not None:  # unbounded ordered scans keep null keys, as
+        t = t.filter(pc.fill_null(mask, False))  # the unordered read does
+    if columns is not None:
+        t = t.select(list(columns))
+    return t
+
+
 def zone_pruned_scan(path: str, lo=None, hi=None, columns=None, ordered=False):
     """Range scan over the layout -> ray.data.Dataset with exactly the
     rows where ``lo <= key <= hi`` (one-sided when a bound is None;
@@ -322,26 +338,8 @@ def zone_pruned_scan(path: str, lo=None, hi=None, columns=None, ordered=False):
         if columns is not None:
             cols_with_key = list(dict.fromkeys(list(columns) + [key]))
 
-        @ray.remote
-        def _read_one(fp: str) -> pa.Table:
-            t = papq.read_table(fp, columns=cols_with_key)
-            mask = None
-            if lo_b is not None:
-                mask = pc.greater_equal(t[key], lo_b)
-            if hi_b is not None:
-                m2 = pc.less_equal(t[key], hi_b)
-                mask = m2 if mask is None else pc.and_(mask, m2)
-            if mask is not None:
-                t = t.filter(pc.fill_null(mask, False))
-            elif t[key].null_count:
-                # unbounded ordered scans keep null keys (full-table
-                # contract), matching the unordered path's no-filter read
-                pass
-            if columns is not None:
-                t = t.select(list(columns))
-            return t
-
-        return rd.from_arrow_refs([_read_one.remote(f) for f in files])
+        args = (key, lo_b, hi_b, cols_with_key, columns)
+        return rd.from_arrow_refs([_read_one.remote(f, *args) for f in files])
     expr = None
     if lo is not None:
         expr = pads.field(key) >= lo_b
@@ -544,6 +542,20 @@ def _probe_values(col, kind: str) -> np.ndarray:
     return np.array([str(v) for v in vals], dtype=object)
 
 
+@ray.remote
+def _bloom_of(fp: str, key: str, kind: str, bits_per_key: int, k: int) -> dict:
+    from pynomaly_ray.functions.sketches import bloom_partial
+
+    col = papq.read_table(fp, columns=[key])[key]
+    vals = _probe_values(col, kind)
+    m_bits = max(1 << 10, (len(vals) * bits_per_key + 63) & ~63)
+    bits = bloom_partial(vals, m_bits=m_bits, k=k)
+    return {
+        "m_bits": int(m_bits),
+        "bits_hex": bits.tobytes().hex(),
+    }
+
+
 def add_blooms(path: str, bits_per_key: int = 10, k: int = 4) -> dict:
     """Build per-file Bloom sidecars over the layout key.  One Ray task
     per file reads ONLY the key column; filters are sized to the file
@@ -554,22 +566,10 @@ def add_blooms(path: str, bits_per_key: int = 10, k: int = 4) -> dict:
     m = load_manifest(path)
     key, kind = m["key"], m["kind"]
 
-    @ray.remote
-    def _bloom_of(fp: str) -> dict:
-        from pynomaly_ray.functions.sketches import bloom_partial
-
-        col = papq.read_table(fp, columns=[key])[key]
-        vals = _probe_values(col, kind)
-        m_bits = max(1 << 10, (len(vals) * bits_per_key + 63) & ~63)
-        bits = bloom_partial(vals, m_bits=m_bits, k=k)
-        return {
-            "m_bits": int(m_bits),
-            "bits_hex": bits.tobytes().hex(),
-        }
-
     files = [z["file"] for z in m["zones"]]
     built = ray.get(
-        [_bloom_of.remote(os.path.join(path, f)) for f in files]
+        [_bloom_of.remote(os.path.join(path, f), key, kind, bits_per_key, k)
+         for f in files]
     )
     sidecar = {
         "gen": int(m.get("gen", 0)),

@@ -166,6 +166,35 @@ def _sample_splitters(ds, keys, kinds, bits: int) -> list[np.ndarray]:
     return splitters
 
 
+@ray.remote
+def _write_zone(t: pa.Table, i: int, path, name_tmpl, keys, kinds) -> dict:
+    t = t.replace_schema_metadata(None)
+    if t.num_rows == 0 or _Z_COL not in t.schema.names:
+        return {"file": None, "rows": 0, "boxes": None, "nulls": 0,
+                "schema_hex": None}
+    t = t.drop_columns([_Z_COL])
+    sch_hex = t.schema.serialize().to_pybytes().hex()
+    dest = atomic_write(
+        os.path.join(path, name_tmpl.format(i=i) + ".parquet"),
+        lambda f: papq.write_table(t, f),
+    )
+    boxes, nulls = [], 0
+    for k, kind in zip(keys, kinds):
+        col = t[k]
+        valid = col.drop_null()
+        nulls += int(col.null_count)
+        boxes.append(
+            {
+                "lo": _ser(pc.min(valid).as_py(), kind)
+                if len(valid) else None,
+                "hi": _ser(pc.max(valid).as_py(), kind)
+                if len(valid) else None,
+            }
+        )
+    return {"file": os.path.basename(dest), "rows": t.num_rows,
+            "boxes": boxes, "nulls": nulls, "schema_hex": sch_hex}
+
+
 def _cluster_and_write(
     ds, keys, kinds, sp1, sp2, path, num_partitions, name_tmpl
 ) -> list[dict]:
@@ -192,35 +221,8 @@ def _cluster_and_write(
     sorted_ds = range_sort(zded, _Z_COL, num_partitions)
     refs = sorted_ds.to_arrow_refs()
 
-    @ray.remote
-    def _write(t: pa.Table, i: int) -> dict:
-        t = t.replace_schema_metadata(None)
-        if t.num_rows == 0 or _Z_COL not in t.schema.names:
-            return {"file": None, "rows": 0, "boxes": None, "nulls": 0,
-                    "schema_hex": None}
-        t = t.drop_columns([_Z_COL])
-        sch_hex = t.schema.serialize().to_pybytes().hex()
-        dest = atomic_write(
-            os.path.join(path, name_tmpl.format(i=i) + ".parquet"),
-            lambda f: papq.write_table(t, f),
-        )
-        boxes, nulls = [], 0
-        for k, kind in zip(keys, kinds):
-            col = t[k]
-            valid = col.drop_null()
-            nulls += int(col.null_count)
-            boxes.append(
-                {
-                    "lo": _ser(pc.min(valid).as_py(), kind)
-                    if len(valid) else None,
-                    "hi": _ser(pc.max(valid).as_py(), kind)
-                    if len(valid) else None,
-                }
-            )
-        return {"file": os.path.basename(dest), "rows": t.num_rows,
-                "boxes": boxes, "nulls": nulls, "schema_hex": sch_hex}
-
-    results = ray.get([_write.remote(r, i) for i, r in enumerate(refs)])
+    args = (path, name_tmpl, keys, kinds)
+    results = ray.get([_write_zone.remote(r, i, *args) for i, r in enumerate(refs)])
     return [z for z in results if z["file"] is not None]
 
 

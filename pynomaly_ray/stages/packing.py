@@ -49,6 +49,20 @@ import ray
 from pynomaly_ray.functions.exchange import hash_aggregate, range_sort
 
 
+@ray.remote
+def _summary(t: pa.Table, idx: int, weight_col: str | None, key_col: str):
+    if t.num_rows == 0:
+        return (idx, None, 0)
+    import pyarrow.compute as _pc
+
+    total = (
+        t.num_rows
+        if weight_col is None
+        else (_pc.sum(_pc.fill_null(t[weight_col], 0)).as_py() or 0)
+    )
+    return (idx, _pc.min(t[key_col]).as_py(), total)
+
+
 def _block_prefix_bases(refs, weight_col: str | None, key_col: str = "doc_id"):
     """Driver-side exclusive prefix over per-block totals (row counts
     when ``weight_col`` is None): returns one int64 base per block
@@ -56,20 +70,9 @@ def _block_prefix_bases(refs, weight_col: str | None, key_col: str = "doc_id"):
     hold disjoint key ranges after range_sort, so min-key order IS
     global order regardless of ref order."""
 
-    @ray.remote
-    def _summary(t: pa.Table, idx: int):
-        if t.num_rows == 0:
-            return (idx, None, 0)
-        import pyarrow.compute as _pc
-
-        total = (
-            t.num_rows
-            if weight_col is None
-            else (_pc.sum(_pc.fill_null(t[weight_col], 0)).as_py() or 0)
-        )
-        return (idx, _pc.min(t[key_col]).as_py(), total)
-
-    summaries = ray.get([_summary.remote(r, i) for i, r in enumerate(refs)])
+    summaries = ray.get(
+        [_summary.remote(r, i, weight_col, key_col) for i, r in enumerate(refs)]
+    )
     bases = [0] * len(refs)
     running = 0
     for idx, _mn, total in sorted(
@@ -86,6 +89,40 @@ def _check_chunk(chunk: int) -> None:
     instead of erroring."""
     if not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
+
+
+@ray.remote
+def _place(t: pa.Table, base: int, chunk: int, id_type) -> pa.Table:
+    if t.num_rows == 0:
+        return pa.table(
+            {
+                "doc_id": pa.array([], id_type),
+                "n_tok": pa.array([], pa.int64()),
+                "seq_first": pa.array([], pa.int64()),
+                "seq_last": pa.array([], pa.int64()),
+                "off_in_seq": pa.array([], pa.int64()),
+            }
+        )
+    import pyarrow.compute as _pc
+
+    w = _pc.fill_null(t["n_tok"], 0).to_numpy(zero_copy_only=False).astype(
+        np.int64
+    )
+    start = base + np.concatenate([[0], np.cumsum(w)[:-1]])
+    keep = w >= 1
+    # ids stay in Arrow (string OR integer doc ids — the corpus
+    # primary key's type is the caller's business, not packing's)
+    ids = t["doc_id"].filter(pa.array(keep))
+    w, start = w[keep], start[keep]
+    return pa.table(
+        {
+            "doc_id": ids,
+            "n_tok": pa.array(w),
+            "seq_first": pa.array(start // chunk),
+            "seq_last": pa.array((start + w - 1) // chunk),
+            "off_in_seq": pa.array(start % chunk),
+        }
+    )
 
 
 def pack_offsets(ds, chunk: int, sort_col: str = "doc_id"):
@@ -110,41 +147,74 @@ def pack_offsets(ds, chunk: int, sort_col: str = "doc_id"):
     sch = ds.schema()  # Ray Data Schema wrapper: .names / .types (Arrow)
     id_type = sch.types[sch.names.index("doc_id")]
 
-    @ray.remote
-    def _place(t: pa.Table, base: int) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], id_type),
-                    "n_tok": pa.array([], pa.int64()),
-                    "seq_first": pa.array([], pa.int64()),
-                    "seq_last": pa.array([], pa.int64()),
-                    "off_in_seq": pa.array([], pa.int64()),
-                }
-            )
+    return ray.data.from_arrow_refs(
+        [_place.remote(r, b, chunk, id_type) for r, b in zip(refs, bases)]
+    )
+
+
+@ray.remote
+def _pieces(t: pa.Table, base: int, chunk: int) -> pa.Table:
+    empty = pa.table(
+        {
+            "seq_id": pa.array([], pa.int64()),
+            "pos": pa.array([], pa.int64()),
+            "piece": pa.array([], pa.list_(pa.int32())),
+        }
+    )
+    if t.num_rows == 0:
+        return empty
+    toks = t["tokens"]
+    if isinstance(toks, pa.ChunkedArray):
+        toks = toks.combine_chunks()
+    flat = toks.values  # zero-copy flat int32 buffer of the block
+    doc_off = np.asarray(toks.offsets)  # len n+1, into flat
+    w = np.diff(doc_off).astype(np.int64)
+    # a NULL list slot is marked by the validity bit, not by its
+    # offsets — its offset span is arbitrary bytes and must not be
+    # packed (mirrors with_len's fill_null(.., 0) placement weights)
+    if toks.null_count:
         import pyarrow.compute as _pc
 
-        w = _pc.fill_null(t["n_tok"], 0).to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        start = base + np.concatenate([[0], np.cumsum(w)[:-1]])
-        keep = w >= 1
-        # ids stay in Arrow (string OR integer doc ids — the corpus
-        # primary key's type is the caller's business, not packing's)
-        ids = t["doc_id"].filter(pa.array(keep))
-        w, start = w[keep], start[keep]
-        return pa.table(
-            {
-                "doc_id": ids,
-                "n_tok": pa.array(w),
-                "seq_first": pa.array(start // chunk),
-                "seq_last": pa.array((start + w - 1) // chunk),
-                "off_in_seq": pa.array(start % chunk),
-            }
-        )
-
-    return ray.data.from_arrow_refs(
-        [_place.remote(r, b) for r, b in zip(refs, bases)]
+        w[~_pc.is_valid(toks).to_numpy(zero_copy_only=False)] = 0
+    start = base + np.concatenate([[0], np.cumsum(w)[:-1]])
+    keep = w >= 1
+    w, start, lo = w[keep], start[keep], doc_off[:-1][keep].astype(np.int64)
+    if not len(w):
+        return empty
+    end = start + w
+    first = start // chunk
+    last = (end - 1) // chunk
+    spans = (last - first + 1).astype(np.int64)  # pieces per doc
+    n_pieces = int(spans.sum())
+    doc_of = np.repeat(np.arange(len(w)), spans)
+    # piece j of a doc covers global [max(start, (first+j)*chunk),
+    # min(end, (first+j+1)*chunk)) — all vectorized over pieces
+    j = np.arange(n_pieces) - np.repeat(
+        np.concatenate([[0], np.cumsum(spans)[:-1]]), spans
+    )
+    seq_id = first[doc_of] + j
+    g_lo = np.maximum(start[doc_of], seq_id * chunk)
+    g_hi = np.minimum(end[doc_of], (seq_id + 1) * chunk)
+    plen = g_hi - g_lo
+    # gather indices into flat: doc-local offset + per-piece ranges
+    src = lo[doc_of] + (g_lo - start[doc_of])
+    total = int(plen.sum())
+    # ranges trick: one arange minus per-piece base repeats
+    step = np.arange(total) - np.repeat(
+        np.concatenate([[0], np.cumsum(plen)[:-1]]), plen
+    )
+    gather = np.repeat(src, plen) + step
+    vals = flat.take(pa.array(gather, pa.int64()))
+    piece = pa.ListArray.from_arrays(
+        pa.array(np.concatenate([[0], np.cumsum(plen)]), pa.int32()),
+        vals,
+    )
+    return pa.table(
+        {
+            "seq_id": pa.array(seq_id),
+            "pos": pa.array(g_lo % chunk),
+            "piece": piece,
+        }
     )
 
 
@@ -173,73 +243,8 @@ def pack_tokens(ds, chunk: int):
     refs = sorted_ds.to_arrow_refs()
     bases = _block_prefix_bases(refs, "n_tok")
 
-    @ray.remote
-    def _pieces(t: pa.Table, base: int) -> pa.Table:
-        empty = pa.table(
-            {
-                "seq_id": pa.array([], pa.int64()),
-                "pos": pa.array([], pa.int64()),
-                "piece": pa.array([], pa.list_(pa.int32())),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
-        toks = t["tokens"]
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        flat = toks.values  # zero-copy flat int32 buffer of the block
-        doc_off = np.asarray(toks.offsets)  # len n+1, into flat
-        w = np.diff(doc_off).astype(np.int64)
-        # a NULL list slot is marked by the validity bit, not by its
-        # offsets — its offset span is arbitrary bytes and must not be
-        # packed (mirrors with_len's fill_null(.., 0) placement weights)
-        if toks.null_count:
-            import pyarrow.compute as _pc
-
-            w[~_pc.is_valid(toks).to_numpy(zero_copy_only=False)] = 0
-        start = base + np.concatenate([[0], np.cumsum(w)[:-1]])
-        keep = w >= 1
-        w, start, lo = w[keep], start[keep], doc_off[:-1][keep].astype(np.int64)
-        if not len(w):
-            return empty
-        end = start + w
-        first = start // chunk
-        last = (end - 1) // chunk
-        spans = (last - first + 1).astype(np.int64)  # pieces per doc
-        n_pieces = int(spans.sum())
-        doc_of = np.repeat(np.arange(len(w)), spans)
-        # piece j of a doc covers global [max(start, (first+j)*chunk),
-        # min(end, (first+j+1)*chunk)) — all vectorized over pieces
-        j = np.arange(n_pieces) - np.repeat(
-            np.concatenate([[0], np.cumsum(spans)[:-1]]), spans
-        )
-        seq_id = first[doc_of] + j
-        g_lo = np.maximum(start[doc_of], seq_id * chunk)
-        g_hi = np.minimum(end[doc_of], (seq_id + 1) * chunk)
-        plen = g_hi - g_lo
-        # gather indices into flat: doc-local offset + per-piece ranges
-        src = lo[doc_of] + (g_lo - start[doc_of])
-        total = int(plen.sum())
-        # ranges trick: one arange minus per-piece base repeats
-        step = np.arange(total) - np.repeat(
-            np.concatenate([[0], np.cumsum(plen)[:-1]]), plen
-        )
-        gather = np.repeat(src, plen) + step
-        vals = flat.take(pa.array(gather, pa.int64()))
-        piece = pa.ListArray.from_arrays(
-            pa.array(np.concatenate([[0], np.cumsum(plen)]), pa.int32()),
-            vals,
-        )
-        return pa.table(
-            {
-                "seq_id": pa.array(seq_id),
-                "pos": pa.array(g_lo % chunk),
-                "piece": piece,
-            }
-        )
-
     pieces = ray.data.from_arrow_refs(
-        [_pieces.remote(r, b) for r, b in zip(refs, bases)]
+        [_pieces.remote(r, b, chunk) for r, b in zip(refs, bases)]
     )
 
     def assemble(t: pa.Table) -> pa.Table:
@@ -278,6 +283,30 @@ def pack_tokens(ds, chunk: int):
     return hash_aggregate(pieces, ["seq_id"], assemble, arrow=True)
 
 
+@ray.remote
+def _rank(t: pa.Table, base: int) -> pa.Table:
+    if t.num_rows == 0:
+        return pa.table(
+            {
+                "doc_id": pa.array([], pa.int64()),
+                "shuffle_key": pa.array([], pa.int64()),
+                "pos": pa.array([], pa.int64()),
+            }
+        )
+    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    keys = t["shuffle_key"].to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.lexsort((ids, keys))  # key-major, id tie-break
+    pos = np.empty(len(ids), np.int64)
+    pos[order] = base + np.arange(len(ids), dtype=np.int64)
+    return pa.table(
+        {
+            "doc_id": pa.array(ids),
+            "shuffle_key": pa.array(keys),
+            "pos": pa.array(pos),
+        }
+    )
+
+
 def epoch_shuffle(ds, seed: int):
     """Deterministic training-epoch shuffle: every doc gets a
     pseudo-random ``shuffle_key`` from the Knuth multiplicative hash of
@@ -312,29 +341,6 @@ def epoch_shuffle(ds, seed: int):
     sorted_ds = range_sort(keyed, "shuffle_key")
     refs = sorted_ds.to_arrow_refs()
     bases = _block_prefix_bases(refs, None, key_col="shuffle_key")
-
-    @ray.remote
-    def _rank(t: pa.Table, base: int) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "shuffle_key": pa.array([], pa.int64()),
-                    "pos": pa.array([], pa.int64()),
-                }
-            )
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys = t["shuffle_key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((ids, keys))  # key-major, id tie-break
-        pos = np.empty(len(ids), np.int64)
-        pos[order] = base + np.arange(len(ids), dtype=np.int64)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "shuffle_key": pa.array(keys),
-                "pos": pa.array(pos),
-            }
-        )
 
     return ray.data.from_arrow_refs(
         [_rank.remote(r, b) for r, b in zip(refs, bases)]

@@ -15,6 +15,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 
 # Minimal per-language stopword/character profiles for the n-gram
@@ -228,8 +229,6 @@ def tfidf_top_terms(docs_ds):
     encode or hash tokens and carry the string only to the final top-1
     emit (documented trade: this operator reports the term itself).
     """
-    import ray as _ray
-
     from pynomaly_ray.functions.exchange import hash_aggregate
 
     def tf_rows(t: pa.Table) -> pa.Table:
@@ -251,7 +250,7 @@ def tfidf_top_terms(docs_ds):
     n_docs = int(
         sum(
             t["n"].to_numpy(zero_copy_only=False).sum()
-            for t in _ray.get(
+            for t in ray.get(
                 docs_ds.map_batches(doc_count, batch_format="pyarrow")
                 .to_arrow_refs()
             )
@@ -531,6 +530,11 @@ def source_vocab_overlap(docs_ds):
     )
 
 
+@ray.remote
+def _split_kind(t: pa.Table, kind: int) -> pa.Table:
+    return t.filter(pc.equal(t["kind"], kind))
+
+
 def bm25_topk(
     docs_ds,
     query_terms: list[str],
@@ -608,16 +612,9 @@ def bm25_topk(
         )
 
     rows = docs_ds.map_batches(emit, batch_format="pyarrow").materialize()
-
-    import ray as _ray
-
-    @_ray.remote
-    def _split(t: pa.Table, kind: int) -> pa.Table:
-        return t.filter(pc.equal(t["kind"], kind))
-
     refs = rows.to_arrow_refs()
     partials = pa.concat_tables(
-        _ray.get([_split.remote(r, 0) for r in refs])
+        ray.get([_split_kind.remote(r, 0) for r in refs])
     )
     n_docs = int(partials["doc_id"].to_numpy().sum())
     sum_len = int(partials["len"].to_numpy().sum())
@@ -630,7 +627,7 @@ def bm25_topk(
 
     import ray.data as rd
 
-    postings = rd.from_arrow_refs([_split.remote(r, 1) for r in refs])
+    postings = rd.from_arrow_refs([_split_kind.remote(r, 1) for r in refs])
 
     dfs = hash_aggregate(
         postings,

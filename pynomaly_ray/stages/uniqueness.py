@@ -255,40 +255,24 @@ def bulk_emit_violations(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def duplicates_from_docparts(docparts_ds, prior_docparts_ds=None):
+def duplicates_from_docparts(docparts_ds):
     """Uniqueness check over pre-aggregated docpart rows.
 
-    ``prior_docparts_ds`` is checkpointed occurrence state from earlier
-    runs (see pipelines/validation.py) — duplicates spanning a completed
-    and a resumed partition are still detected, attributed exactly as a
-    single full run would.  Returns a Dataset of violation rows.
+    ``docparts_ds`` carries an int64 ``is_prior`` column: 0 on this
+    run's occurrences, 1 on the occurrences checkpointed by earlier
+    committed runs (see pipelines/validation.py).  Duplicates spanning a
+    completed and a resumed partition are still detected, and only this
+    run's new extras are emitted, attributed exactly as a single full
+    run would.  Without the column every row counts as this run's.
+    Returns a Dataset of violation rows, one block per bucket.
 
     ONE keyed exchange end-to-end: docpart rows hash-partition on the
     int64 ``doc_hash`` (all occurrences of a doc_id co-locate; a hash
     collision merely co-locates extra rows — exactness comes from the
     in-bucket doc_id groupby), and every bucket emits its violation rows
     directly through the vectorized :func:`bulk_emit_violations`
-    reducer.  No duplicate-id broadcast, no driver-side occurrence
-    materialization: a heavily duplicated crawl corpus (30% dups at
-    10^12 rows) streams through P reducers instead of landing ~10^11
-    occurrence rows on the driver.  The exchange volume is identical to
-    the old count-then-filter design (the totals pass already moved
-    every docpart row), so the single pass is strictly cheaper.
+    reducer, so no occurrence row ever lands on the driver.
     """
     from pynomaly_ray.functions.exchange import hash_aggregate
 
-    def tag(val: int):
-        def _t(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "is_prior", pa.array(np.full(t.num_rows, val, dtype=np.int64))
-            )
-
-        return _t
-
-    union_ds = docparts_ds.map_batches(tag(0), batch_format="pyarrow")
-    if prior_docparts_ds is not None:
-        union_ds = union_ds.union(
-            prior_docparts_ds.map_batches(tag(1), batch_format="pyarrow")
-        )
-    return hash_aggregate(union_ds, ["doc_hash"], bulk_emit_violations)
-
+    return hash_aggregate(docparts_ds, ["doc_hash"], bulk_emit_violations)

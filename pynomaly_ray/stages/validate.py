@@ -123,13 +123,3 @@ class SequenceValidator:
         if not out:
             return UNION_SCHEMA.empty_table()
         return pa.concat_tables(out)
-
-
-def split_union(kind: str, columns=None):
-    """Vectorized filter selecting one ``kind`` from the stage-A stream."""
-
-    def _f(t: pa.Table) -> pa.Table:
-        sel = t.filter(pc.equal(t["kind"], kind))
-        return sel.select(columns) if columns else sel
-
-    return _f

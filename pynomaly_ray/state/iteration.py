@@ -43,6 +43,17 @@ def committed_rounds(state_dir: str) -> list[int]:
     return sorted(int(name) for name in committed(state_dir))
 
 
+@ray.remote
+def _write_round_block(t: pa.Table, d: str, b: int) -> int:
+    if t.num_rows == 0:
+        return 0
+    atomic_write(
+        os.path.join(d, f"part-{b:05d}.parquet"),
+        lambda f: papq.write_table(t.replace_schema_metadata(None), f),
+    )
+    return t.num_rows
+
+
 def save_round(state_dir: str, i: int, ds) -> None:
     """Persist one round's state Dataset: deterministic per-block file
     names (a retried round overwrites its own files), marker LAST."""
@@ -52,17 +63,7 @@ def save_round(state_dir: str, i: int, ds) -> None:
     os.makedirs(d, exist_ok=True)
     refs = ds.to_arrow_refs()
 
-    @ray.remote
-    def _write(t: pa.Table, b: int) -> int:
-        if t.num_rows == 0:
-            return 0
-        atomic_write(
-            os.path.join(d, f"part-{b:05d}.parquet"),
-            lambda f: papq.write_table(t.replace_schema_metadata(None), f),
-        )
-        return t.num_rows
-
-    ray.get([_write.remote(r, b) for b, r in enumerate(refs)])
+    ray.get([_write_round_block.remote(r, d, b) for b, r in enumerate(refs)])
     mark_committed(state_dir, f"{i:05d}")
 
 

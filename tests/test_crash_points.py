@@ -78,19 +78,21 @@ def _seq_files():
     )
 
 
-def _validation_cfg(run_id):
+def _validation_cfg(run_id, **kw):
     from pynomaly_ray.config import ValidationConfig
     from pynomaly_ray.sources.datagen import SOURCES
 
     return ValidationConfig(
         valid_sources=list(SOURCES), n_neighbors=4, extent=3,
-        drift_threshold=0.5, run_id=run_id,
+        drift_threshold=0.5, run_id=run_id, **kw,
     )
 
 
 class Validation:
     """run_validation's out_dir: docparts, violations, frozen model,
     partition report and the manifest snapshot that commits the run."""
+
+    stage_b: dict = {}
 
     def setup(self, d):
         import ray.data as rd
@@ -100,7 +102,7 @@ class Validation:
         files = _seq_files()
         run_validation(
             rd.read_parquet(files[: len(files) // 2]),
-            _validation_cfg("r1"), out_dir=str(d),
+            _validation_cfg("r1", **self.stage_b), out_dir=str(d),
         )
 
     def op(self, d):
@@ -109,13 +111,40 @@ class Validation:
         from pynomaly_ray.pipelines.validation import run_validation
 
         run_validation(
-            rd.read_parquet(_seq_files()), _validation_cfg("r2"), out_dir=str(d)
+            rd.read_parquet(_seq_files()),
+            _validation_cfg("r2", **self.stage_b), out_dir=str(d),
         )
 
     def read(self, d):
         from pynomaly_ray.state.manifest import read_full_manifest
 
         return _rows(read_full_manifest(str(d)).to_pandas())
+
+
+class ValidationDistributed(Validation):
+    """The same runs on the distributed Stage B, whose tasks write the
+    docparts checkpoint and violation files: a crashed attempt's files
+    are cleared by its retry, and no reader trusts them before the run's
+    manifest snapshot commits."""
+
+    stage_b = {"driver_collect_bytes": 0}
+
+    def read(self, d):
+        from pynomaly_ray.pipelines.validation import (
+            _committed_violation_files,
+            _prior_docpart_dirs,
+        )
+        from pynomaly_ray.sources.parquet import parquet_files
+
+        def rows(files):
+            return _rows(pa.concat_tables(pq.read_table(f) for f in files).to_pandas())
+
+        docparts = parquet_files(*_prior_docpart_dirs(str(d), "", True))
+        return (
+            super().read(d),
+            rows(docparts),
+            rows(_committed_violation_files(str(d), "")),
+        )
 
 
 class ValidationAmend(Validation):
@@ -470,6 +499,7 @@ class CliRun:
 SURFACES = {
     "validation_manifest": Validation,
     "validation_amend": ValidationAmend,
+    "validation_distributed": ValidationDistributed,
     "validated_sink": ValidatedSink,
     "drift_model": DriftModel,
     "matview_refresh": Matview,

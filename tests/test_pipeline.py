@@ -459,6 +459,32 @@ def test_distributed_violation_cap(seq_dir, ray_session, monkeypatch, tmp_path):
     assert not (set(wrote["doc_id"].to_pylist()) & bad_ids)
 
 
+def test_distributed_run_without_violations_feeds_the_sink(ray_session, tmp_path):
+    """A distributed Stage B that finds no violation still leaves a
+    readable violations directory, and the sink reading it writes every
+    input row."""
+    import ray.data as rd
+
+    from pynomaly_ray.pipelines.validation import (
+        run_validation,
+        write_validated_output,
+    )
+
+    out = str(tmp_path / "out")
+    rows = _web_rows("p0", n=20)
+    cfg = ValidationConfig(
+        valid_sources=["web"], n_neighbors=2, run_id="clean", driver_collect_bytes=0
+    )
+    res = run_validation(rd.from_arrow(rows), cfg, out_dir=out)
+    assert res.violations.num_rows == 0
+    assert res.violations_dir == os.path.join(out, "violations", "clean")
+    assert pq.read_table(res.violations_dir).num_rows == 0
+
+    dest = write_validated_output(rd.from_arrow(rows), res.violations_dir, out, "clean")
+    wrote = pq.ParquetDataset(dest).read()
+    assert sorted(wrote["doc_id"].to_pylist()) == sorted(rows["doc_id"].to_pylist())
+
+
 def test_single_partition_fit_scores_zero_not_nan(ray_session):
     """A 1-partition stat table must not produce NaN loop scores
     silently reported as 'pass' (review r3: k clamps to 0 there)."""

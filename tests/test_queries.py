@@ -163,6 +163,51 @@ def test_two_sided_ops_take_a_side_with_no_blocks(ray_session, op, empty_side):
         assert keys == ([1, 2, 3] if keeps_left else []), (op, empty_side, p)
 
 
+def test_one_bucket_exchange_launches_no_split_task(ray_session, monkeypatch):
+    """At one bucket, ``hash_aggregate`` and ``hash_join`` hand every
+    block on whole: no ``_split_block`` task runs, the single bucket sees
+    the rows in block order, and the results equal those at three
+    buckets and the pandas reference."""
+    import ray.data as rd
+
+    from pynomaly_ray.functions import exchange
+    from pynomaly_ray.functions.exchange import hash_aggregate, hash_join
+
+    splits = []
+    real = exchange._split_block
+
+    class CountingSplit:
+        def options(self, **kw):
+            splits.append(kw)
+            return real.options(**kw)
+
+    monkeypatch.setattr(exchange, "_split_block", CountingSplit())
+    df = pd.DataFrame({"k": np.arange(300) % 7, "v": np.arange(300)})
+    right = pd.DataFrame({"k": np.arange(5), "w": np.arange(5) * 10})
+    ds = rd.from_pandas([df.iloc[:100], df.iloc[100:250], df.iloc[250:]])
+    want_sum = df.groupby("k", as_index=False)["v"].sum()
+    want_join = df.merge(right, on="k").sort_values(["v"]).reset_index(drop=True)
+
+    for p, n_splits in ((1, 0), (3, 3 + 3 + 3 + 1)):
+        splits.clear()
+        with pinned_fanout(p):
+            rows = hash_aggregate(ds, ["k"], lambda d: d).to_pandas()
+            sums = hash_aggregate(
+                ds, ["k"], lambda d: d.groupby("k", as_index=False)["v"].sum()
+            ).to_pandas()
+            joined = hash_join(ds, rd.from_pandas(right), ["k"]).to_pandas()
+        assert len(splits) == n_splits, p
+        if p == 1:
+            assert rows["v"].tolist() == df["v"].tolist()
+        pd.testing.assert_frame_equal(
+            sums.sort_values("k").reset_index(drop=True), want_sum
+        )
+        pd.testing.assert_frame_equal(
+            joined[want_join.columns].sort_values("v").reset_index(drop=True),
+            want_join,
+        )
+
+
 def test_auto_num_partitions_bounds(ray_session):
     import ray
 

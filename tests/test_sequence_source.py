@@ -345,32 +345,126 @@ def test_mistyped_input_behind_a_map_fails_in_stage_a(tmp_path):
         _validate(ds)
 
 
+def _stage_b_trace(monkeypatch) -> dict:
+    """Record what each distributed Stage B does: its tagged blocks, the
+    Ray Data executions it starts and the names of the tasks it submits."""
+    import pynomaly_ray.pipelines.validation as V
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    tasks = _task_log(monkeypatch)
+    executions: list = []
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, *args, **kwargs):
+        executions.append(self)
+        return real_execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    seen: dict = {}
+    real = V._post_scan_distributed
+
+    def spy(tagged, *rest):
+        t0, e0 = len(tasks), len(executions)
+        seen["blocks"] = tagged.num_blocks()
+        try:
+            return real(tagged, *rest)
+        finally:
+            seen["tasks"] = tasks[t0:]
+            seen["executions"] = len(executions) - e0
+
+    monkeypatch.setattr(V, "_post_scan_distributed", spy)
+    return seen
+
+
 def test_distributed_stage_b_over_many_files(files, seq_dir, monkeypatch):
     """driver_collect_bytes=0 over one tagged block per read task: the
-    same report and violations as the local path, and the stream is
-    coalesced to the exchange fan-out before the split maps, not kept per
-    task."""
+    same report and violations as the local path, from one split task
+    per tagged block and no Ray Data execution inside Stage B."""
     import pynomaly_ray.pipelines.validation as V
-    from pynomaly_ray.functions.exchange import auto_num_partitions
 
     local = _validate(V.sequence_dataset_from_dir(seq_dir))
 
-    tagged = _spy_stage_b(monkeypatch, "_post_scan_distributed")
-    split_blocks = []
-    real = V.hash_aggregate
-
-    def spy(ds, *rest):
-        ds = ds.materialize()
-        split_blocks.append(ds.num_blocks())
-        return real(ds, *rest)
-
-    monkeypatch.setattr(V, "hash_aggregate", spy)
+    stage_b = _stage_b_trace(monkeypatch)
     dist = _validate(V.sequence_dataset_from_dir(seq_dir), driver_collect_bytes=0)
 
-    assert tagged["blocks"] == _planned_tasks(files)
-    want = auto_num_partitions(tagged["bytes"])
-    assert want < tagged["blocks"]
-    assert split_blocks == [want]
+    assert stage_b["blocks"] == _planned_tasks(files) > 1
+    assert stage_b["executions"] == 0
+    assert stage_b["tasks"].count("_split_tagged") == stage_b["blocks"]
     pd.testing.assert_frame_equal(local.violations.to_pandas(), dist.violations.to_pandas())
     cols = [c for c in local.report.column_names if c not in ("lineage", "stat_vector")]
     assert local.report.select(cols).equals(dist.report.select(cols))
+
+
+def _sorted_rows(t: pa.Table) -> pd.DataFrame:
+    keys = ["partition_id", "doc_id", "check"]
+    return (
+        t.select(["doc_id", "partition_id", "check", "detail"])
+        .to_pandas()
+        .sort_values(keys, kind="mergesort")
+        .reset_index(drop=True)
+    )
+
+
+@pytest.mark.parametrize("over_cap", [False, True], ids=["rows", "over_cap"])
+@pytest.mark.parametrize("p", [1, 3])
+def test_local_and_distributed_stage_b_agree_on_a_resumed_run(
+    p, over_cap, tmp_path, monkeypatch, ray_session
+):
+    """A committed run over every other partition, then a resumed run
+    over all of them, on the local and on the distributed Stage B at a
+    pinned exchange fan-out.  Two duplicates span committed and new
+    partitions: the planted one, whose extra lands in a committed
+    partition (an amendment), and one whose extra lands in a new one.
+    Both paths give the same violations and the same manifest; over the
+    driver cap the distributed run keeps only counts, and its violation
+    files hold the same rows."""
+    import pynomaly_ray.pipelines.validation as V
+    from tests.conftest import pinned_fanout
+
+    tables = _partitions()
+    keys = sorted(tables)
+    committed = keys[1::2]
+    assert keys[-1] in committed  # the planted duplicate's extra
+    extra = tables[keys[1]].slice(0, 1)
+    new = tables[keys[2]]
+    tables[keys[2]] = pa.concat_tables(
+        [new, extra.set_column(4, "partition_id", new["partition_id"][:1])]
+    )
+    half = _write_dir(tmp_path / "half", {k: tables[k] for k in committed})
+    full = _write_dir(tmp_path / "full", tables)
+    if over_cap:
+        monkeypatch.setattr(V, "_MAX_DRIVER_VIOLATIONS", 0)
+    stage_b = _stage_b_trace(monkeypatch)
+
+    def runs(out, **kw):
+        with pinned_fanout(p):
+            for run_id, d in (("r1", half), ("r2", full)):
+                res = V.run_validation(
+                    V.sequence_dataset_from_dir(d),
+                    ValidationConfig(**CFG, run_id=run_id, **kw),
+                    out_dir=str(out),
+                )
+        return res
+
+    local = runs(tmp_path / "local")
+    assert stage_b == {}
+    dist = runs(tmp_path / "dist", driver_collect_bytes=0)
+
+    assert stage_b["executions"] == 0
+    assert stage_b["tasks"].count("_split_tagged") == stage_b["blocks"]
+    prior = os.listdir(tmp_path / "dist" / "docparts" / "r1")
+    assert stage_b["tasks"].count("_read_prior_docparts") == len(prior) > 0
+    assert ("_split_block" in stage_b["tasks"]) == (p > 1)
+
+    want = _sorted_rows(local.violations)
+    dups = want[want["check"] == "duplicate_doc_id"]
+    assert set(dups["partition_id"]) == {keys[2], keys[-1]}
+    written = _sorted_rows(pq.read_table(dist.violations_dir))
+    pd.testing.assert_frame_equal(written, want)
+    if over_cap:
+        assert dist.violations.num_rows == 0
+    else:
+        pd.testing.assert_frame_equal(_sorted_rows(dist.violations), want)
+    assert dist.report.equals(local.report)
+    amended = local.report.to_pandas().set_index("partition_id").loc[keys[-1]]
+    assert amended["status"] == "fail" and amended["n_violations"] >= 1

@@ -760,10 +760,15 @@ def test_dup_heavy_distributed_emit_matches_reference(ray_session, monkeypatch):
     parts = [f"p{i // 250:02d}" for i in range(n)]
     t = pa.table({"doc_id": doc_ids, "partition_id": parts})
 
-    def docparts_of(table):
+    def docparts_of(table, is_prior=0):
+        def tag(t):
+            return t.append_column(
+                "is_prior", pa.array(np.full(t.num_rows, is_prior, np.int64))
+            )
+
         return rd.from_arrow(table).map_batches(
             project_doc_partition, batch_format="pyarrow", batch_size=256
-        )
+        ).map_batches(tag, batch_format="pyarrow")
 
     ds = docparts_of(t)
     out = duplicates_from_docparts(ds).to_pandas()
@@ -791,7 +796,9 @@ def test_dup_heavy_distributed_emit_matches_reference(ray_session, monkeypatch):
     half = n // 2
     t1, t2 = t.slice(0, half), t.slice(half)
     v1 = duplicates_from_docparts(docparts_of(t1)).to_pandas()
-    v2 = duplicates_from_docparts(docparts_of(t2), docparts_of(t1)).to_pandas()
+    v2 = duplicates_from_docparts(
+        docparts_of(t2).union(docparts_of(t1, is_prior=1))
+    ).to_pandas()
     both = pd.concat([v1, v2], ignore_index=True)
     pd.testing.assert_frame_equal(
         both.sort_values(key, kind="mergesort").reset_index(drop=True),
