@@ -57,7 +57,7 @@ def _validation_report(sf_dir: str):
     cfg = ValidationConfig(
         valid_sources=sources, n_neighbors=10, extent=3, cluster_by_source=False
     )
-    res = run_validation(seq, cfg, out_dir=None, collect_violations=True)
+    res = run_validation(seq, cfg, out_dir=None)
     return res.report
 
 

@@ -61,7 +61,6 @@ def run_headline(sf_name: str) -> dict:
         sequence_dataset_from_dir(data_dir),
         cfg,
         out_dir=None,
-        collect_violations=False,
     )
 
     # best-of-2 timed runs: this sandbox's wall-clock noise is large
@@ -73,7 +72,6 @@ def run_headline(sf_name: str) -> dict:
             sequence_dataset_from_dir(data_dir),
             cfg,
             out_dir=None,
-            collect_violations=False,
         )
         walls.append(time.perf_counter() - t0)
     wall = min(walls)

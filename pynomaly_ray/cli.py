@@ -64,7 +64,6 @@ def cmd_validate(args) -> int:
         cfg,
         out_dir=args.out,
         resume=not args.no_resume,
-        collect_violations=args.write_validated,
         frozen_model=args.model,
     )
     if args.write_validated:
@@ -72,11 +71,7 @@ def cmd_validate(args) -> int:
 
         write_validated_output(
             sequence_dataset_from_dir(args.input),
-            # above the driver violation cap, rows live only in the
-            # distributed parquet dir — the anti-join reads them there
-            res.violations_dir
-            if res.violations_dir
-            else res.violations.to_pandas(),
+            res.violations_dir,
             args.out,
             cfg.run_id,
         )

@@ -769,9 +769,7 @@ def q_validation_violations(sf_dir: str):
     cfg = ValidationConfig(
         valid_sources=valid_sources, vocab_size=_VV_VOCAB, n_neighbors=10, extent=3
     )
-    res = run_validation(
-        read_parquet_clean(surf), cfg, out_dir=None, collect_violations=True
-    )
+    res = run_validation(read_parquet_clean(surf), cfg, out_dir=None)
     v = res.violations
     df = v.to_pandas() if hasattr(v, "to_pandas") else v
     out = (

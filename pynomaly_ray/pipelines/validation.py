@@ -12,20 +12,25 @@ Engine shape (SURVEY.md §3 "Engine shape of the same lifecycle"):
   Stage B  (a) doc_id uniqueness totals; (b) per-partition stats merge
   Stage C  tiny partition-stat table -> exact LoOP fit (loop_core) with
            extent/k per config; loop_score > threshold => drift fail
-  Stage D  per-partition pass/fail report + violation parquet + manifest
+  Stage D  per-partition pass/fail report + manifest
 
 The input is read exactly once; only the small tagged stream crosses the
-scan boundary.  Stage B is **size-adaptive**: the tagged stream is
-usually tiny relative to the input (sparse violations + one stat row per
-partition per batch + pre-aggregated doc counts), so below
-``cfg.driver_collect_bytes`` it is collected once and reduced with
-vectorized pandas on the driver — zero extra Ray executions.  Above the
-threshold (true 10^12-row runs, where the doc_id pre-aggregates alone
-are large) they run as one wave of Ray tasks over the tagged blocks,
-then two hash-partitioned exchanges (functions/exchange.py) on the refs
-it returns: no Ray Data execution on either path.  Both paths produce
-identical outputs; tests force the distributed one with
-``driver_collect_bytes=0``.
+scan boundary.  Stage B is one body with two placements, chosen by
+size: it splits tagged blocks by kind (``_split``), writes their
+docparts and violation rows, merges the partials per partition and
+finds duplicates with one reducer (uniqueness.bulk_emit_violations).
+The tagged stream is usually tiny relative to the input (sparse
+violations + one stat row per partition per batch + pre-aggregated doc
+counts), so below ``cfg.driver_collect_bytes`` the driver collects it
+once and runs that body on it as one block and one bucket — zero extra
+Ray executions.  Above the threshold (true 10^12-row runs, where the
+doc_id pre-aggregates alone are large) the body runs as one wave of Ray
+tasks over the tagged blocks, then two hash-partitioned exchanges
+(functions/exchange.py) on the refs it returns: no Ray Data execution
+on either path.  Both give identical outputs and, with ``out_dir``, the
+same on-disk layout: ``docparts/<run>/*.parquet`` and
+``violations/<run>/*.parquet``.  Tests force the distributed placement
+with ``driver_collect_bytes=0``.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ from pynomaly_ray.stages.stats import finalize_stat_vectors, merge_partials_df
 from pynomaly_ray.stages.uniqueness import (
     bulk_emit_violations,
     duplicates_from_docparts,
-    hash_candidate_mask,
 )
 from pynomaly_ray.stages.validate import UNION_SCHEMA, SequenceValidator
 from pynomaly_ray.state.commit import atomic_write, publish_dir
@@ -100,9 +104,10 @@ class ValidationResult:
     out_dir: Optional[str]
     n_sequences: int
     skipped_partitions: int
-    # When the distributed Stage B wrote the violation rows, the parquet
-    # directory holding ALL of them — the authoritative source when
-    # ``violations`` was truncated to empty (volume above the driver cap).
+    # With ``out_dir``: ``out_dir/violations/<run>/``, the parquet
+    # directory holding ALL of this run's violation rows — the
+    # authoritative source when ``violations`` was truncated to empty
+    # (volume above the driver cap), and the validated-rows sink's input.
     violations_dir: Optional[str] = None
 
 
@@ -121,35 +126,6 @@ def _filter_completed(ds, done: frozenset):
 
 def _empty_df(cols) -> pd.DataFrame:
     return pd.DataFrame({c: pd.Series(dtype=object) for c in cols})
-
-
-def _local_duplicates(
-    docparts: pa.Table, prior: Optional[pa.Table]
-) -> pd.DataFrame:
-    """Driver-local uniqueness reduction: the distributed path's bucket
-    reducer (stages/uniqueness.bulk_emit_violations) run once over the
-    whole occurrence set.
-
-    Counting runs over the int64 ``doc_hash`` column (numpy unique — C
-    speed, no string conversion of the full key space); only hash-level
-    candidates (vanishingly rare) are converted to pandas, and the
-    reducer verifies them against the exact doc_id strings, which also
-    guards against hash collisions."""
-    parts = [docparts.select(_DOCPART_COLS)]
-    if prior is not None and prior.num_rows:
-        parts.append(prior.select(_DOCPART_COLS))
-    union = pa.concat_tables(parts)
-    cand_mask = hash_candidate_mask(
-        union["doc_hash"].to_numpy(zero_copy_only=False),
-        union["cnt"].to_numpy(zero_copy_only=False).astype(np.int64),
-    )
-    if not cand_mask.any():
-        return _empty_df(_VIOL_COLS)
-    cands = union.filter(pa.array(cand_mask)).to_pandas()
-    is_prior = np.zeros(union.num_rows, dtype=np.int64)
-    is_prior[docparts.num_rows:] = 1
-    cands["is_prior"] = is_prior[cand_mask]
-    return bulk_emit_violations(cands)
 
 
 def _prior_docpart_dirs(out_dir: str, run_id: str, resume: bool) -> list[str]:
@@ -172,48 +148,26 @@ def _prior_docpart_dirs(out_dir: str, run_id: str, resume: bool) -> list[str]:
     ]
 
 
-def _post_scan_local(tagged, cfg, out_dir, resume):
-    """Collect the (small) tagged stream once; reduce on the driver.
+def _stage_b_dirs(out_dir, run_id: str, resume: bool):
+    """Stage B's files under ``out_dir``: the committed prior runs'
+    docparts files, and this run's ``docparts/<run>/`` and
+    ``violations/<run>/`` dirs, cleared and recreated (all empty or None
+    without ``out_dir``)."""
+    if not out_dir:
+        return [], None, None
+    prior_files = parquet_files(*_prior_docpart_dirs(out_dir, run_id, resume))
+    # a crashed attempt with this (uncommitted) run_id may have left
+    # files that the retry's would add to: clear both dirs first
+    dp_dir = os.path.join(out_dir, "docparts", run_id)
+    viol_dir = os.path.join(out_dir, "violations", run_id)
+    for d in (dp_dir, viol_dir):
+        shutil.rmtree(d, ignore_errors=True)
+        os.makedirs(d)
+    return prior_files, dp_dir, viol_dir
 
-    Arrow-native end-to-end: kind filtering, docpart counting and the
-    checkpoint write never convert the full stream to pandas — only the
-    sparse violation rows, the per-partition partials, and duplicate
-    *candidates* cross into Python objects."""
-    tables = ray.get(tagged.to_arrow_refs())  # one call: parallel fetch
-    tables = [t for t in tables if t.num_rows]
-    all_t = pa.concat_tables(tables) if tables else UNION_SCHEMA.empty_table()
 
-    kind = all_t["kind"]
-    viol_df = (
-        all_t.filter(pc.equal(kind, "violation")).select(_VIOL_COLS).to_pandas()
-    )
-    partials = (
-        all_t.filter(pc.equal(kind, "partial")).select(_PARTIAL_COLS).to_pandas()
-    )
-    stats_df = (
-        merge_partials_df(partials)
-        if len(partials)
-        else _empty_df(_PARTIAL_COLS)
-    )
-
-    docparts = all_t.filter(pc.equal(kind, "docpart")).select(_DOCPART_COLS)
-    prior = None
-    if out_dir:
-        prior_files = parquet_files(*_prior_docpart_dirs(out_dir, cfg.run_id, resume))
-        dp_dir = os.path.join(out_dir, "docparts", cfg.run_id)
-        os.makedirs(dp_dir, exist_ok=True)
-        atomic_write(
-            os.path.join(dp_dir, "docparts.parquet"),
-            lambda f: pq.write_table(docparts, f),
-        )
-        if prior_files:
-            prior = pa.concat_tables(
-                [pq.read_table(f, columns=_DOCPART_COLS) for f in prior_files]
-            )
-
-    dup_df = _local_duplicates(docparts, prior)
-    viol_df = pd.concat([viol_df, dup_df], ignore_index=True)
-    return viol_df, stats_df, None, False
+def _part(d, name):
+    return os.path.join(d, f"{name}.parquet") if d else None
 
 
 _MAX_DRIVER_VIOLATIONS = 2_000_000
@@ -226,8 +180,11 @@ def _write_violations(viol: pa.Table, path: Optional[str]) -> pa.Table:
     viol = viol.select(_VIOL_COLS).cast(VIOLATION_SCHEMA)
     if path and viol.num_rows:
         pq.write_table(viol, path)
-    return viol.group_by("partition_id", use_threads=False).aggregate(
-        [([], "count_all")]
+    # a compute kernel, not Table.group_by: that loads Arrow's Acero
+    # engine, several MB of driver RSS on the local path
+    counts = pc.value_counts(viol["partition_id"])
+    return pa.table(
+        {"partition_id": counts.field("values"), "count_all": counts.field("counts")}
     )
 
 
@@ -240,16 +197,15 @@ def _tag_prior(docparts: pa.Table, is_prior: int) -> pa.Table:
     )
 
 
-@ray.remote(num_returns=4)
-def _split_tagged(block: pa.Table, dp_path, viol_path):
+def _split(block: pa.Table, dp_path, viol_path):
     """One tagged block -> its partial rows, its docpart rows tagged
     ``is_prior=0``, its violation rows and their per-partition counts;
     the docparts and violations are written at the paths (if given)."""
     if not block.num_rows:  # 0-row blocks skip the validator: any schema
         block = UNION_SCHEMA.empty_table()
 
-    def rows(kind, cols):
-        return block.filter(pc.equal(block["kind"], kind)).select(cols)
+    def rows(kind, cols):  # select first: the filter copies only ``cols``
+        return block.select(cols).filter(pc.equal(block["kind"], kind))
 
     docparts, viol = rows("docpart", _DOCPART_COLS), rows("violation", _VIOL_COLS)
     if dp_path and docparts.num_rows:
@@ -262,10 +218,69 @@ def _split_tagged(block: pa.Table, dp_path, viol_path):
     )
 
 
-@ray.remote
-def _read_prior_docparts(path: str) -> pa.Table:
+_split_tagged = ray.remote(num_returns=4)(_split)
+
+
+def _read_prior(path: str) -> pa.Table:
     t = pq.read_table(path, columns=_DOCPART_COLS).replace_schema_metadata(None)
     return _tag_prior(t, 1)
+
+
+_read_prior_docparts = ray.remote(_read_prior)
+
+
+def _stage_b_tail(counts, fetch_viol, viol_dir):
+    """Both Stage B paths' last step -> (violation rows, per-partition
+    violation counts).  The rows are fetched (``fetch_viol()``) only
+    when the counts total at most ``_MAX_DRIVER_VIOLATIONS``; the
+    violations dir (None without ``out_dir``) always gets a file, if an
+    empty one, for the validated-rows sink."""
+    counts = pa.concat_tables(counts)  # never empty: >= 1 duplicate bucket
+    n_viol = pc.sum(counts["count_all"]).as_py() or 0
+    if viol_dir and not n_viol:
+        pq.write_table(VIOLATION_SCHEMA.empty_table(), _part(viol_dir, "empty"))
+    vcounts = counts.to_pandas().groupby("partition_id")["count_all"].sum()
+    if n_viol > _MAX_DRIVER_VIOLATIONS:
+        if not viol_dir:
+            warnings.warn(
+                f"violation rows exceed the driver cap "
+                f"({_MAX_DRIVER_VIOLATIONS}) and no out_dir was given: "
+                "individual rows are dropped; only per-partition counts "
+                "survive. Pass out_dir to persist the rows.",
+                RuntimeWarning,
+            )
+        return _empty_df(_VIOL_COLS), vcounts
+    tables = [
+        t.select(_VIOL_COLS).cast(VIOLATION_SCHEMA)
+        for t in fetch_viol()
+        if t.num_rows
+    ]
+    viol_df = pa.concat_tables(tables).to_pandas() if tables else _empty_df(_VIOL_COLS)
+    return viol_df, vcounts
+
+
+def _post_scan_local(tagged, cfg, out_dir, resume):
+    """:func:`_post_scan_distributed`'s split and duplicate reducer, run
+    once in the driver: the tagged blocks are collected in one parallel
+    fetch and reduced as one block and one uniqueness bucket."""
+    prior_files, dp_dir, viol_dir = _stage_b_dirs(out_dir, cfg.run_id, resume)
+    tables = [t for t in ray.get(tagged.to_arrow_refs()) if t.num_rows]
+    partials, docparts, viol, counts = _split(
+        pa.concat_tables(tables) if tables else UNION_SCHEMA.empty_table(),
+        _part(dp_dir, "00000"),
+        _part(viol_dir, "00000"),
+    )
+    # the stats merge is the driver's peak: run it first, with the fetched
+    # stream and the Arrow partials already freed
+    del tables
+    partials = partials.to_pandas()
+    stats_df = merge_partials_df(partials) if len(partials) else _empty_df(_PARTIAL_COLS)
+    dups = bulk_emit_violations(
+        pa.concat_tables([docparts] + [_read_prior(f) for f in prior_files])
+    )
+    counts = [counts, _write_violations(dups, _part(viol_dir, "dup-00000"))]
+    viol_df, vcounts = _stage_b_tail(counts, lambda: [viol, dups], viol_dir)
+    return viol_df, stats_df, vcounts
 
 
 def _post_scan_distributed(tagged, cfg, out_dir, resume):
@@ -273,27 +288,11 @@ def _post_scan_distributed(tagged, cfg, out_dir, resume):
     the tagged blocks, starting no Ray Data execution: one split task per
     block and one read task per committed prior docparts file, then the
     stats merge and the uniqueness exchange on their refs.  Tasks write
-    every violation block; the driver fetches the rows only when their
-    counts total at most ``_MAX_DRIVER_VIOLATIONS``, else it keeps the
-    per-partition counts.  With ``out_dir`` the violations directory
-    always holds a file, if an empty one, for the validated-rows sink."""
-    dp_dir = viol_dir = None
-    prior_files: list[str] = []
-    if out_dir:
-        prior_files = parquet_files(*_prior_docpart_dirs(out_dir, cfg.run_id, resume))
-        # a crashed attempt with this (uncommitted) run_id may have left
-        # files that the retry's would add to: clear both dirs first
-        dp_dir = os.path.join(out_dir, "docparts", cfg.run_id)
-        viol_dir = os.path.join(out_dir, "violations", cfg.run_id)
-        for d in (dp_dir, viol_dir):
-            shutil.rmtree(d, ignore_errors=True)
-            os.makedirs(d)
-
-    def part(d, name):
-        return os.path.join(d, f"{name}.parquet") if d else None
-
+    every violation block; the driver fetches the rows only under the
+    driver cap (:func:`_stage_b_tail`)."""
+    prior_files, dp_dir, viol_dir = _stage_b_dirs(out_dir, cfg.run_id, resume)
     split = [
-        _split_tagged.remote(ref, *(part(d, f"{i:05d}") for d in (dp_dir, viol_dir)))
+        _split_tagged.remote(ref, *(_part(d, f"{i:05d}") for d in (dp_dir, viol_dir)))
         for i, ref in enumerate(tagged.to_arrow_refs())
     ]
     partials, docparts, viol, counts = ([s[k] for s in split] for k in range(4))
@@ -305,7 +304,7 @@ def _post_scan_distributed(tagged, cfg, out_dir, resume):
     dups = dups.materialize().to_arrow_refs()
     viol += dups
     counts += [
-        _write_bucket_violations.remote(t, part(viol_dir, f"dup-{b:05d}"))
+        _write_bucket_violations.remote(t, _part(viol_dir, f"dup-{b:05d}"))
         for b, t in enumerate(dups)
     ]
     merged = hash_aggregate(
@@ -317,30 +316,8 @@ def _post_scan_distributed(tagged, cfg, out_dir, resume):
         if merged
         else _empty_df(_PARTIAL_COLS)
     )
-
-    counts = pa.concat_tables(ray.get(counts))  # never empty: P >= 1 buckets
-    n_viol = pc.sum(counts["count_all"]).as_py() or 0
-    if out_dir and not n_viol:
-        pq.write_table(VIOLATION_SCHEMA.empty_table(), part(viol_dir, "empty"))
-    if n_viol > _MAX_DRIVER_VIOLATIONS:
-        if not out_dir:
-            warnings.warn(
-                f"violation rows exceed the driver cap "
-                f"({_MAX_DRIVER_VIOLATIONS}) and no out_dir was given: "
-                "individual rows are dropped; only per-partition counts "
-                "survive. Pass out_dir to persist the rows.",
-                RuntimeWarning,
-            )
-        vcounts = counts.to_pandas().groupby("partition_id")["count_all"].sum()
-        return _empty_df(_VIOL_COLS), stats_df, vcounts, bool(out_dir)
-    tables = [
-        t.select(_VIOL_COLS).cast(VIOLATION_SCHEMA)
-        for t in ray.get(viol)
-        if t.num_rows
-    ]
-    viol_df = pa.concat_tables(tables).to_pandas() if tables else _empty_df(_VIOL_COLS)
-    return viol_df, stats_df, None, bool(out_dir)
-
+    viol_df, vcounts = _stage_b_tail(ray.get(counts), lambda: ray.get(viol), viol_dir)
+    return viol_df, stats_df, vcounts
 
 
 def run_validation(
@@ -349,7 +326,6 @@ def run_validation(
     *,
     out_dir: Optional[str] = None,
     resume: bool = True,
-    collect_violations: bool = True,
     frozen_model=None,
 ) -> ValidationResult:
     """Run the full validation pipeline over a sequence Dataset.
@@ -418,9 +394,7 @@ def run_validation(
         post_scan = _post_scan_local
     else:
         post_scan = _post_scan_distributed
-    viol_df, stats_df, dist_vcounts, wrote_viol = post_scan(
-        tagged, cfg, out_dir, resume
-    )
+    viol_df, stats_df, vcounts = post_scan(tagged, cfg, out_dir, resume)
 
     viol_df = viol_df.sort_values(
         ["partition_id", "doc_id", "check"], kind="mergesort"
@@ -428,28 +402,6 @@ def run_validation(
     stats_df = stats_df.sort_values(
         "partition_id", kind="mergesort"
     ).reset_index(drop=True)
-
-    violations_dir = (
-        os.path.join(out_dir, "violations", cfg.run_id)
-        if (out_dir and wrote_viol)
-        else None
-    )
-    if out_dir and not wrote_viol:
-        os.makedirs(os.path.join(out_dir, "violations"), exist_ok=True)
-        vt = pa.Table.from_pandas(
-            viol_df, schema=VIOLATION_SCHEMA, preserve_index=False
-        )
-        atomic_write(
-            os.path.join(out_dir, "violations", f"{cfg.run_id}.parquet"),
-            lambda f: pq.write_table(vt, f),
-        )
-
-    if dist_vcounts is not None:
-        vcounts = dist_vcounts
-    elif len(viol_df):
-        vcounts = viol_df.groupby("partition_id").size()
-    else:
-        vcounts = pd.Series(dtype=np.int64)
 
     # Partitions whose rows ALL failed validation have no stat row but
     # must still appear in the report/manifest as failures — otherwise
@@ -466,12 +418,8 @@ def run_validation(
         n_sequences = int(stats_df["n_rows"].sum())
 
     # ---- Stage D: report + manifest ----
-    violations_out = (
-        pa.Table.from_pandas(
-            viol_df, schema=VIOLATION_SCHEMA, preserve_index=False
-        )
-        if collect_violations
-        else VIOLATION_SCHEMA.empty_table()
+    violations_out = pa.Table.from_pandas(
+        viol_df, schema=VIOLATION_SCHEMA, preserve_index=False
     )
     if out_dir:
         if report.num_rows:
@@ -490,7 +438,9 @@ def run_validation(
         report = _commit_run(out_dir, report, vcounts, done, cfg.run_id)
     return ValidationResult(
         report, violations_out, out_dir, n_sequences, skipped,
-        violations_dir=violations_dir,
+        violations_dir=(
+            os.path.join(out_dir, "violations", cfg.run_id) if out_dir else None
+        ),
     )
 
 
@@ -619,18 +569,21 @@ def _commit_run(
 
 
 def _committed_violation_files(out_dir: str, run_id: str) -> list[str]:
-    """Violation files of the runs committed under ``out_dir`` other
-    than ``run_id``: ``<run>.parquet`` (driver path) or the part files
-    of ``<run>/`` (distributed path)."""
+    """The part files of ``violations/<run>/`` for every run committed
+    under ``out_dir`` other than ``run_id``.  Every committed run wrote
+    that dir, if only an empty file in it: a missing one raises
+    ``ValueError`` instead of letting that run's violating ids through."""
     from pynomaly_ray.state.manifest import committed_run_ids
 
-    root = os.path.join(out_dir, "violations")
     files = []
     for run in sorted(committed_run_ids(out_dir) - {run_id}):
-        if os.path.isfile(single := os.path.join(root, f"{run}.parquet")):
-            files.append(single)
-        elif os.path.isdir(os.path.join(root, run)):
-            files += parquet_files(os.path.join(root, run))
+        d = os.path.join(out_dir, "violations", run)
+        if not os.path.isdir(d):
+            raise ValueError(
+                f"committed run {run!r} has no violations directory {d!r}: "
+                "the sink cannot tell which of its rows violated"
+            )
+        files += parquet_files(d)
     return files
 
 
@@ -642,11 +595,9 @@ def write_validated_output(
     exactly (a pure filter; BASELINE.json's token-array-equality
     invariant).
 
-    ``viol_source``: the violation rows as a pandas DataFrame (driver
-    path) OR a parquet directory path — the distributed path for runs
-    whose violation volume exceeded the driver cap (use
-    ``ValidationResult.violations_dir``; only its id column is read,
-    and the rows themselves never reach the driver).
+    ``viol_source``: the parquet directory of the run's violation rows,
+    ``ValidationResult.violations_dir``.  Only its id column is read,
+    and the rows themselves never reach the driver.
     The violations of every other run committed under ``out_dir`` join
     the same id source: a resumed run skips the partitions an earlier
     run validated, but the sink writes them again from ``ds``.
@@ -681,17 +632,10 @@ def write_validated_output(
         drop_null_rows, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    prior = _committed_violation_files(out_dir, run_id)
-    if isinstance(viol_source, str):
-        bad_ds = read_parquet_clean(
-            parquet_files(viol_source) + prior, columns=["doc_id"]
-        )
-    else:
-        bad_ds = rd.from_arrow(
-            pa.table({"doc_id": pa.array(viol_source["doc_id"], pa.string())})
-        )
-        if prior:
-            bad_ds = bad_ds.union(read_parquet_clean(prior, columns=["doc_id"]))
+    bad_ds = read_parquet_clean(
+        parquet_files(viol_source) + _committed_violation_files(out_dir, run_id),
+        columns=["doc_id"],
+    )
     valid = anti_membership(clean, bad_ds, "doc_id")
 
     return publish_dir(

@@ -835,6 +835,35 @@ def _dir_rank(d: str, fallback: int) -> int:
         return fallback
 
 
+def _ranked_state(dirs, ranks):
+    """The rows of the hash-state dirs ``dirs`` as one Dataset, each
+    tagged with its first-seen rank (``rnk``): a compacted dir already
+    carries per-row ranks, any other gets its run's rank from ``ranks``.
+    None when every dir is empty."""
+    from pynomaly_ray.sources.parquet import read_parquet_clean
+
+    parts = []
+    for rank, d in zip(ranks, dirs):
+        files = parquet_files(d)
+        if not files:
+            continue
+
+        def tag(t: pa.Table, _r=rank) -> pa.Table:
+            if "rnk" in t.schema.names:  # compacted dir: per-row ranks
+                return t
+            return t.append_column(
+                "rnk", pa.array(np.full(t.num_rows, _r, dtype=np.int64))
+            )
+
+        parts.append(read_parquet_clean(files).map_batches(tag, batch_format="pyarrow"))
+    if not parts:
+        return None
+    merged = parts[0]
+    for p in parts[1:]:
+        merged = merged.union(p)
+    return merged
+
+
 def compact_exact_state(state_dir: str) -> dict:
     """Merge all COMMITTED per-run hash dirs into one compacted dir.
 
@@ -853,8 +882,6 @@ def compact_exact_state(state_dir: str) -> dict:
     """
     import os
 
-    from pynomaly_ray.sources.parquet import read_parquet_clean
-
     dirs = _committed_state_dirs(state_dir, "hashes")
     if len(dirs) <= 1:
         return {
@@ -862,26 +889,9 @@ def compact_exact_state(state_dir: str) -> dict:
             "target": os.path.basename(dirs[0]) if dirs else None,
         }
     ranks = [_dir_rank(d, i) for i, d in enumerate(dirs)]
-    parts = []
-    for rank, d in zip(ranks, dirs):
-        files = parquet_files(d)
-        if not files:
-            continue
-        part = read_parquet_clean(files)
-
-        def tag(t: pa.Table, _r=rank) -> pa.Table:
-            if "rnk" in t.schema.names:
-                return t
-            return t.append_column(
-                "rnk", pa.array(np.full(t.num_rows, _r, dtype=np.int64))
-            )
-
-        parts.append(part.map_batches(tag, batch_format="pyarrow"))
-    if not parts:  # all committed dirs empty: nothing to fold
+    merged = _ranked_state(dirs, ranks)
+    if merged is None:  # all committed dirs empty: nothing to fold
         return {"compacted_runs": 0, "target": None}
-    merged = parts[0]
-    for p in parts[1:]:
-        merged = merged.union(p)
 
     def write(tmp: str) -> None:
         merged.write_parquet(tmp)
@@ -938,7 +948,6 @@ def exact_duplicates_incremental(
 
     from pynomaly_ray.functions.exchange import anti_membership, hash_aggregate
     from pynomaly_ray.functions.hashing import hash_strings
-    from pynomaly_ray.sources.parquet import read_parquet_clean
 
     docs_ds = docs_ds.map_batches(
         lambda t: t.filter(pc.is_valid(t["doc_id"])), batch_format="pyarrow"
@@ -952,25 +961,8 @@ def exact_duplicates_incremental(
     new_rank = max(ranks) + 1 if ranks else 0
 
     new_docs = docs_ds
-    prior_parts = []
-    for rank, d in zip(ranks, prior_dirs):
-        files = parquet_files(d)
-        if not files:
-            continue
-        part = read_parquet_clean(files)
-
-        def tag(t: pa.Table, _r=rank) -> pa.Table:
-            if "rnk" in t.schema.names:  # compacted dir: per-row ranks
-                return t
-            return t.append_column(
-                "rnk", pa.array(np.full(t.num_rows, _r, dtype=np.int64))
-            )
-
-        prior_parts.append(part.map_batches(tag, batch_format="pyarrow"))
-    if prior_parts:
-        prior_all = prior_parts[0]
-        for p in prior_parts[1:]:
-            prior_all = prior_all.union(p)
+    prior_all = _ranked_state(prior_dirs, ranks)
+    if prior_all is not None:
         prior_all = prior_all.materialize()  # consumed twice
         prior_ids = prior_all.map_batches(
             lambda t: t.select(["doc_id"]), batch_format="pyarrow"
@@ -1004,7 +996,7 @@ def exact_duplicates_incremental(
         ),
         batch_format="pyarrow",
     )
-    if prior_parts:
+    if prior_all is not None:
         union = union.union(prior_all)
 
     def emit(df: pd.DataFrame) -> pd.DataFrame:

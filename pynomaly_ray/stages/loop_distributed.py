@@ -35,6 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _fit_group(X: np.ndarray, n_neighbors: int, extent: int) -> np.ndarray:
@@ -74,6 +75,9 @@ def _loop_bucket(
                 "loop_score": pa.array([], pa.float64()),
             }
         )
+    # the exchange delivers rows in no fixed order, and the fit's float
+    # sums follow row order: fit in id order for reproducible scores
+    t = t.take(pc.sort_indices(t, [(id_col, "ascending")]))
     # strip pandas metadata: Ray's tensor-extension reconstruction hints
     # don't round-trip through worker processes for ndarray cells
     df = t.replace_schema_metadata(None).to_pandas()

@@ -15,12 +15,12 @@ Scale design (SURVEY.md §4):
   phase 1 — ONE keyed exchange, ``hash_aggregate`` on the int64
       ``doc_hash`` (functions/exchange.py): all occurrences of a doc_id
       co-locate, and each bucket emits its violation rows through the
-      vectorized :func:`bulk_emit_violations`.  Its int64 bincount
-      prefilter drops the all-unique bulk before any string work, and
-      exact doc_id grouping over the survivors guards against hash
-      collisions.  The driver-local Stage B path
-      (pipelines/validation.py) runs the same reducer once over its
-      hash-level candidates.
+      vectorized :func:`bulk_emit_violations`, an Arrow-in, Arrow-out
+      reducer.  Its int64 bincount prefilter drops the all-unique bulk
+      before any string work, and exact doc_id grouping over the
+      survivors guards against hash collisions.  The driver-local Stage
+      B path (pipelines/validation.py) calls the same reducer once, with
+      every occurrence row as one bucket.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pynomaly_ray.config import VIOLATION_SCHEMA
 from pynomaly_ray.functions.hashing import hash_strings, nul_safe_key, salt_of
 
 
@@ -145,36 +146,29 @@ def emit_duplicate_violations(group: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-_EMPTY_VIOL = {
-    "doc_id": pa.array([], pa.string()),
-    "partition_id": pa.array([], pa.string()),
-    "check": pa.array([], pa.string()),
-    "detail": pa.array([], pa.string()),
-}
-_VIOL_COL_NAMES = ("doc_id", "partition_id", "check", "detail")
-
-
 def hash_candidate_mask(hashes: np.ndarray, cnts: np.ndarray) -> np.ndarray:
     """Row mask of occurrence rows whose int64 doc_hash totals more than
-    one occurrence — the C-speed (unique + bincount) duplicate prefilter
-    shared by the driver-local reduction (pipelines/validation.py) and
-    the distributed bucket reducer below.  Hash-level only: exact doc_id
+    one occurrence: the C-speed (unique + bincount) duplicate prefilter
+    of :func:`bulk_emit_violations`.  Hash-level only: exact doc_id
     verification happens downstream (collision guard)."""
     _, inv = np.unique(hashes, return_inverse=True)
     totals = np.bincount(inv, weights=cnts).astype(np.int64)
     return totals[inv] > 1
 
 
-def bulk_emit_violations(df: pd.DataFrame) -> pd.DataFrame:
+def bulk_emit_violations(t: pa.Table) -> pa.Table:
     """Vectorized ALL-groups duplicate-violation emission for one
     key-co-located bucket of docpart occurrence rows (the driver-local
-    path passes its whole candidate set as one bucket) — the vectorized
+    Stage B passes every occurrence row as one bucket) — the vectorized
     form of :func:`emit_duplicate_violations`, which stays as the
-    per-group reference the parity tests compare against.
+    per-group reference the parity tests compare against.  Takes a
+    ``pa.Table`` of (doc_id, doc_hash, partition_id, cnt[, is_prior])
+    and returns one of VIOLATION_SCHEMA.
 
-    Fast pre-filter: an int64 ``doc_hash`` bincount (C speed) discards
-    the all-unique bulk of the bucket before any string work.  Extras
-    for the surviving groups are then computed in one pass — per
+    Fast pre-filter: an int64 ``doc_hash`` bincount (C speed) on the
+    Arrow columns discards the all-unique bulk of the bucket, and only
+    the candidate rows are converted to pandas.  Extras for the
+    surviving groups are then computed in one pass — per
     (doc_id, partition_id) count minus one for each doc's lowest
     partition_id (the deterministically tolerated occurrence), minus the
     extras already attributed to prior runs (``is_prior`` rows, the
@@ -182,20 +176,19 @@ def bulk_emit_violations(df: pd.DataFrame) -> pd.DataFrame:
     Python loop anywhere, so a 30%-duplicated corpus costs the reducer
     O(bucket) vectorized work, not O(duplicates) Python.
     """
-    empty = pd.DataFrame(
-        {c: pd.Series(dtype="string") for c in _VIOL_COL_NAMES}
-    )
-    if df.empty:
+    empty = VIOLATION_SCHEMA.empty_table()
+    if not t.num_rows:
         return empty
     cand = hash_candidate_mask(
-        df["doc_hash"].to_numpy(), df["cnt"].to_numpy().astype(np.int64)
+        t["doc_hash"].to_numpy(),
+        t["cnt"].to_numpy().astype(np.int64),
     )
     if not cand.any():
         return empty
     keep_cols = [
-        c for c in ("doc_id", "partition_id", "cnt", "is_prior") if c in df.columns
+        c for c in ("doc_id", "partition_id", "cnt", "is_prior") if c in t.column_names
     ]
-    sub = df.loc[cand, keep_cols]
+    sub = t.select(keep_cols).filter(pa.array(cand)).to_pandas()
     # nul_safe_key: object-dtype groupby/transform would alias keys that
     # differ only after an embedded NUL byte (pandas C-string compare)
     sub = sub.assign(
@@ -245,13 +238,17 @@ def bulk_emit_violations(df: pd.DataFrame) -> pd.DataFrame:
         return empty
     reps = new[mask]
     src = occ[mask]
-    return pd.DataFrame(
-        {
-            "doc_id": np.repeat(src["doc_id"].to_numpy(), reps),
-            "partition_id": np.repeat(src["partition_id"].to_numpy(), reps),
-            "check": "duplicate_doc_id",
-            "detail": "duplicate doc_id occurrence",
-        }
+    return pa.Table.from_pandas(
+        pd.DataFrame(
+            {
+                "doc_id": np.repeat(src["doc_id"].to_numpy(), reps),
+                "partition_id": np.repeat(src["partition_id"].to_numpy(), reps),
+                "check": "duplicate_doc_id",
+                "detail": "duplicate doc_id occurrence",
+            }
+        ),
+        schema=VIOLATION_SCHEMA,
+        preserve_index=False,
     )
 
 
@@ -275,4 +272,6 @@ def duplicates_from_docparts(docparts_ds):
     """
     from pynomaly_ray.functions.exchange import hash_aggregate
 
-    return hash_aggregate(docparts_ds, ["doc_hash"], bulk_emit_violations)
+    return hash_aggregate(
+        docparts_ds, ["doc_hash"], bulk_emit_violations, arrow=True
+    )

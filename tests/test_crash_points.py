@@ -116,35 +116,32 @@ class Validation:
         )
 
     def read(self, d):
-        from pynomaly_ray.state.manifest import read_full_manifest
-
-        return _rows(read_full_manifest(str(d)).to_pandas())
-
-
-class ValidationDistributed(Validation):
-    """The same runs on the distributed Stage B, whose tasks write the
-    docparts checkpoint and violation files: a crashed attempt's files
-    are cleared by its retry, and no reader trusts them before the run's
-    manifest snapshot commits."""
-
-    stage_b = {"driver_collect_bytes": 0}
-
-    def read(self, d):
+        """The manifest, and the committed runs' docparts and violation
+        rows: a crashed attempt's files are cleared by its retry, and no
+        reader trusts them before the run's manifest snapshot commits."""
         from pynomaly_ray.pipelines.validation import (
             _committed_violation_files,
             _prior_docpart_dirs,
         )
         from pynomaly_ray.sources.parquet import parquet_files
+        from pynomaly_ray.state.manifest import read_full_manifest
 
         def rows(files):
             return _rows(pa.concat_tables(pq.read_table(f) for f in files).to_pandas())
 
         docparts = parquet_files(*_prior_docpart_dirs(str(d), "", True))
         return (
-            super().read(d),
+            _rows(read_full_manifest(str(d)).to_pandas()),
             rows(docparts),
             rows(_committed_violation_files(str(d), "")),
         )
+
+
+class ValidationDistributed(Validation):
+    """The same runs on the distributed Stage B, whose tasks write the
+    docparts checkpoint and violation files."""
+
+    stage_b = {"driver_collect_bytes": 0}
 
 
 class ValidationAmend(Validation):
@@ -198,7 +195,7 @@ class ValidatedSink:
 
         from pynomaly_ray.pipelines.validation import write_validated_output
 
-        viol = pq.read_table(d / "violations" / "r2.parquet").to_pandas()
+        viol = str(d / "violations" / "r2")
         write_validated_output(rd.read_parquet(_seq_files()), viol, str(d), "r2")
 
     def read(self, d):

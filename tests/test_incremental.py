@@ -266,6 +266,29 @@ def test_distributed_loop_exactly_matches_clustered_loop_core(ray_session):
     assert np.abs(scored.loop_score.to_numpy() - expect).max() == 0.0
 
 
+def test_loop_bucket_is_independent_of_row_order():
+    """One exchange bucket fitted as delivered and as a permutation of
+    the same rows: bit-identical (id, loop_score) rows, whatever order
+    the exchange delivers them in."""
+    from pynomaly_ray.stages.loop_distributed import _loop_bucket
+
+    rng = np.random.RandomState(17)
+    n = 300
+    t = pa.table(
+        {
+            "vec_id": pa.array(np.arange(n, dtype=np.int64)),
+            "embedding": pa.array(list(rng.randn(n, 8) * 1e3)),
+            "label": pa.array(rng.randint(0, 2, n)),
+        }
+    )
+    for label_col in (None, "label"):
+        want = _loop_bucket(t, "vec_id", "embedding", label_col, 8, 3)
+        for seed in range(3):
+            perm = np.random.RandomState(seed).permutation(n)
+            got = _loop_bucket(t.take(perm), "vec_id", "embedding", label_col, 8, 3)
+            assert got.sort_by("vec_id").equals(want.sort_by("vec_id"))
+
+
 def test_distributed_loop_lsh_flags_outliers(ray_session):
     """With locality buckets (hyperplane LSH), planted far-out vectors
     still surface as the top LoOP scores."""

@@ -214,9 +214,11 @@ def test_validated_output_token_equality(result, seq_dir, ray_session, tmp_path)
     )
 
     out = str(tmp_path / "out")
-    viol_df = result.violations.to_pandas()
+    viol_dir = tmp_path / "viol"
+    viol_dir.mkdir()
+    pq.write_table(result.violations, viol_dir / "part.parquet")
     ds = sequence_dataset_from_dir(seq_dir)
-    dest = write_validated_output(ds, viol_df, out, "r1")
+    dest = write_validated_output(ds, str(viol_dir), out, "r1")
 
     import os
 
@@ -239,7 +241,7 @@ def test_validated_output_token_equality(result, seq_dir, ray_session, tmp_path)
     orig = (
         pq.ParquetDataset(orig_files).read().to_pandas().sort_values("doc_id")
     )
-    bad_ids = set(viol_df["doc_id"].dropna())
+    bad_ids = set(result.violations["doc_id"].drop_null().to_pylist())
     expected = orig[
         orig["doc_id"].notna()
         & orig["tokens"].notna()
@@ -668,7 +670,12 @@ def test_validated_output_anti_join_path_identical(seq_dir, ray_session, monkeyp
             ),
         }
     )
-    viol = pd.DataFrame({"doc_id": [f"d{i:04d}" for i in range(n) if i % 4 != 3]})
+    viol = str(tmp_path / "viol")
+    os.makedirs(viol)
+    pq.write_table(
+        pa.table({"doc_id": [f"d{i:04d}" for i in range(n) if i % 4 != 3]}),
+        os.path.join(viol, "part.parquet"),
+    )
 
     def read_back(out):
         import glob

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from hypothesis import example, given, settings, strategies as st
 
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -283,6 +284,7 @@ def test_bulk_emit_matches_per_group_reference(seed, n, n_docs, n_parts):
     """The vectorized all-groups duplicate emitter equals the per-group
     reference for ANY occurrence table, including random prior-run
     splits (resume attribution) and hot keys."""
+    from pynomaly_ray.config import VIOLATION_SCHEMA
     from pynomaly_ray.functions.hashing import hash_strings
     from pynomaly_ray.stages.uniqueness import (
         bulk_emit_violations,
@@ -302,7 +304,9 @@ def test_bulk_emit_matches_per_group_reference(seed, n, n_docs, n_parts):
     )
     df["doc_hash"] = hash_strings(df["doc_id"]).view(np.int64)
 
-    got = bulk_emit_violations(df)
+    got = bulk_emit_violations(pa.Table.from_pandas(df, preserve_index=False))
+    assert got.schema == VIOLATION_SCHEMA
+    got = got.to_pandas()
 
     totals = df.groupby("doc_id")["cnt"].sum()
     dups = df[df["doc_id"].isin(totals[totals > 1].index)]

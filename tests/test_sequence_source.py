@@ -389,7 +389,7 @@ def test_distributed_stage_b_over_many_files(files, seq_dir, monkeypatch):
 
     assert stage_b["blocks"] == _planned_tasks(files) > 1
     assert stage_b["executions"] == 0
-    assert stage_b["tasks"].count("_split_tagged") == stage_b["blocks"]
+    assert stage_b["tasks"].count("_split") == stage_b["blocks"]
     pd.testing.assert_frame_equal(local.violations.to_pandas(), dist.violations.to_pandas())
     cols = [c for c in local.report.column_names if c not in ("lineage", "stat_vector")]
     assert local.report.select(cols).equals(dist.report.select(cols))
@@ -415,9 +415,9 @@ def test_local_and_distributed_stage_b_agree_on_a_resumed_run(
     pinned exchange fan-out.  Two duplicates span committed and new
     partitions: the planted one, whose extra lands in a committed
     partition (an amendment), and one whose extra lands in a new one.
-    Both paths give the same violations and the same manifest; over the
-    driver cap the distributed run keeps only counts, and its violation
-    files hold the same rows."""
+    Both paths give the same violations, the same manifest and the same
+    docparts and violation rows on disk; over the driver cap both keep
+    only counts, and their violation files hold the rows."""
     import pynomaly_ray.pipelines.validation as V
     from tests.conftest import pinned_fanout
 
@@ -438,33 +438,50 @@ def test_local_and_distributed_stage_b_agree_on_a_resumed_run(
 
     def runs(out, **kw):
         with pinned_fanout(p):
-            for run_id, d in (("r1", half), ("r2", full)):
-                res = V.run_validation(
+            return [
+                V.run_validation(
                     V.sequence_dataset_from_dir(d),
                     ValidationConfig(**CFG, run_id=run_id, **kw),
                     out_dir=str(out),
                 )
-        return res
+                for run_id, d in (("r1", half), ("r2", full))
+            ]
 
-    local = runs(tmp_path / "local")
+    local1, local = runs(tmp_path / "local")
     assert stage_b == {}
-    dist = runs(tmp_path / "dist", driver_collect_bytes=0)
+    dist1, dist = runs(tmp_path / "dist", driver_collect_bytes=0)
 
     assert stage_b["executions"] == 0
-    assert stage_b["tasks"].count("_split_tagged") == stage_b["blocks"]
+    assert stage_b["tasks"].count("_split") == stage_b["blocks"]
     prior = os.listdir(tmp_path / "dist" / "docparts" / "r1")
-    assert stage_b["tasks"].count("_read_prior_docparts") == len(prior) > 0
+    assert stage_b["tasks"].count("_read_prior") == len(prior) > 0
     assert ("_split_block" in stage_b["tasks"]) == (p > 1)
 
-    want = _sorted_rows(local.violations)
+    for res, out in ((local, "local"), (dist, "dist")):
+        assert res.violations_dir == str(tmp_path / out / "violations" / "r2")
+    want = _sorted_rows(pq.read_table(local.violations_dir))
     dups = want[want["check"] == "duplicate_doc_id"]
     assert set(dups["partition_id"]) == {keys[2], keys[-1]}
-    written = _sorted_rows(pq.read_table(dist.violations_dir))
-    pd.testing.assert_frame_equal(written, want)
-    if over_cap:
-        assert dist.violations.num_rows == 0
-    else:
-        pd.testing.assert_frame_equal(_sorted_rows(dist.violations), want)
+    pd.testing.assert_frame_equal(_sorted_rows(pq.read_table(dist.violations_dir)), want)
+    for res in (local, dist):
+        if over_cap:
+            assert res.violations.num_rows == 0
+        else:
+            pd.testing.assert_frame_equal(_sorted_rows(res.violations), want)
+    assert dist1.violations.equals(local1.violations)
+    assert dist1.report.equals(local1.report)
+    for run_id in ("r1", "r2"):
+        for kind in ("docparts", "violations"):
+            a, b = (
+                pq.read_table(tmp_path / out / kind / run_id).to_pandas()
+                for out in ("local", "dist")
+            )
+            cols = sorted(a.columns)
+            assert len(a) > 0 and sorted(b.columns) == cols
+            pd.testing.assert_frame_equal(
+                a[cols].sort_values(cols).reset_index(drop=True),
+                b[cols].sort_values(cols).reset_index(drop=True),
+            )
     assert dist.report.equals(local.report)
     amended = local.report.to_pandas().set_index("partition_id").loc[keys[-1]]
     assert amended["status"] == "fail" and amended["n_violations"] >= 1

@@ -49,10 +49,10 @@ def test_resumed_sink_equals_one_full_pass(distributed, ray_session, tmp_path):
         os.path.join(data, f) for f in os.listdir(data) if f.endswith(".parquet")
     )
 
-    full = run_validation(rd.read_parquet(files), _cfg("full"))
+    full_dir = str(tmp_path / "full")
+    full = run_validation(rd.read_parquet(files), _cfg("full"), out_dir=full_dir)
     want = write_validated_output(
-        rd.read_parquet(files), full.violations.to_pandas(),
-        str(tmp_path / "full"), "full",
+        rd.read_parquet(files), full.violations_dir, full_dir, "full"
     )
 
     out = str(tmp_path / "out")
@@ -65,14 +65,39 @@ def test_resumed_sink_equals_one_full_pass(distributed, ray_session, tmp_path):
         cfg.driver_collect_bytes = 0
     res = run_validation(rd.read_parquet(files), cfg, out_dir=out)
     assert res.skipped_partitions > 0
-    assert bool(res.violations_dir) == distributed
-    got = write_validated_output(
-        rd.read_parquet(files),
-        res.violations_dir or res.violations.to_pandas(),
-        out,
-        "r2",
-    )
+    assert half.violations_dir == os.path.join(out, "violations", "r1")
+    assert res.violations_dir == os.path.join(out, "violations", "r2")
+    got = write_validated_output(rd.read_parquet(files), res.violations_dir, out, "r2")
     assert _sink_rows(got) == _sink_rows(want)
+
+
+def test_sink_refuses_a_committed_run_without_violations_dir(ray_session, tmp_path):
+    """A committed run whose violations directory is gone: the sink cannot
+    tell which of that run's rows violated, so it raises instead of
+    writing them."""
+    import shutil
+
+    import ray.data as rd
+
+    from pynomaly_ray.pipelines.validation import (
+        run_validation,
+        write_validated_output,
+    )
+
+    data = "/tmp/pnr_test/sink_seq"
+    generate_dataset_dir(data, GenSpec(parts_per_source=3, rows_per_part=24))
+    files = sorted(
+        os.path.join(data, f) for f in os.listdir(data) if f.endswith(".parquet")
+    )
+    out = str(tmp_path / "out")
+    half = run_validation(
+        rd.read_parquet(files[: len(files) // 2]), _cfg("r1"), out_dir=out
+    )
+    res = run_validation(rd.read_parquet(files), _cfg("r2"), out_dir=out)
+    shutil.rmtree(half.violations_dir)
+    with pytest.raises(ValueError, match="committed run 'r1'"):
+        write_validated_output(rd.read_parquet(files), res.violations_dir, out, "r2")
+    assert not os.path.exists(os.path.join(out, "validated", "r2"))
 
 
 @pytest.mark.parametrize("method", ["exact", "simhash"])
