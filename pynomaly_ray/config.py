@@ -55,6 +55,18 @@ PARTIAL_STATS_SCHEMA = pa.schema(
     ]
 )
 
+# Batch-level doc_id occurrence counts feeding the uniqueness reduction
+# (stages/uniqueness.py); also the docparts checkpoint's on-disk schema.
+DOCPART_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.string()),
+        ("doc_hash", pa.int64()),
+        ("partition_id", pa.string()),
+        ("cnt", pa.int64()),
+        ("salt", pa.int64()),
+    ]
+)
+
 PARTITION_REPORT_SCHEMA = pa.schema(
     [
         ("partition_id", pa.string()),
@@ -95,10 +107,12 @@ class ValidationConfig:
     cluster_by_source: bool = False
     # Rows per validator kernel call (Stage A cuts each block into these)
     batch_size: int = 4096
-    salt_buckets: int = 16  # skew salting for the doc_id uniqueness shuffle
-    # Stage-B adaptivity: tagged streams at or below this size are reduced
-    # driver-locally (vectorized pandas, zero extra Ray executions);
-    # larger streams take the distributed hash_aggregate path.
+    # Only fills the docpart ``salt`` column, which nothing reads; both
+    # stay until the benchmark stops passing salt_buckets.
+    salt_buckets: int = 16
+    # Stage B placement: a tagged stream at or below this size is
+    # collected and reduced in the driver; a larger one runs the same body
+    # as one wave of Ray tasks over its blocks.
     driver_collect_bytes: int = 256 * 1024 * 1024
     # Source-membership universe; None DISABLES the unknown_source
     # check (pass the side table's distinct sources to enable it).

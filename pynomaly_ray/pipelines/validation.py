@@ -5,10 +5,11 @@ Engine shape (SURVEY.md §3 "Engine shape of the same lifecycle"):
   Stage A  Read->MapBatches(SequenceValidator), fused: each stateless
            read task (a run of input files balanced by bytes, about two
            per cluster CPU) decodes its files and validates them in place
-           -> ONE pass producing a tagged stream of violation rows,
-           per-partition partial stats, and uniqueness pre-aggregates
-           (a resumed run drops the rows of partitions in the manifest
-           with an ``is_in`` filter on partition_id, after decode)
+           -> ONE pass producing a tagged stream (stages/validate.py)
+           that carries violation rows, per-partition partial stats and
+           uniqueness pre-aggregates (a resumed run drops the rows of
+           partitions in the manifest with an ``is_in`` filter on
+           partition_id, after decode)
   Stage B  (a) doc_id uniqueness totals; (b) per-partition stats merge
   Stage C  tiny partition-stat table -> exact LoOP fit (loop_core) with
            extent/k per config; loop_score > threshold => drift fail
@@ -16,9 +17,10 @@ Engine shape (SURVEY.md §3 "Engine shape of the same lifecycle"):
 
 The input is read exactly once; only the small tagged stream crosses the
 scan boundary.  Stage B is one body with two placements, chosen by
-size: it splits tagged blocks by kind (``_split``), writes their
-docparts and violation rows, merges the partials per partition and
-finds duplicates with one reducer (uniqueness.bulk_emit_violations).
+size: it splits tagged blocks into their three tables (``_split``, via
+``validate.split_tagged``), writes their docparts and violation rows,
+merges the partials per partition and finds duplicates with one reducer
+(uniqueness.bulk_emit_violations).
 The tagged stream is usually tiny relative to the input (sparse
 violations + one stat row per partition per batch + pre-aggregated doc
 counts), so below ``cfg.driver_collect_bytes`` the driver collects it
@@ -52,6 +54,8 @@ import ray
 import ray.data as rd
 
 from pynomaly_ray.config import (
+    DOCPART_SCHEMA,
+    PARTIAL_STATS_SCHEMA,
     PARTITION_REPORT_SCHEMA,
     VIOLATION_SCHEMA,
     ValidationConfig,
@@ -69,7 +73,7 @@ from pynomaly_ray.stages.uniqueness import (
     bulk_emit_violations,
     duplicates_from_docparts,
 )
-from pynomaly_ray.stages.validate import UNION_SCHEMA, SequenceValidator
+from pynomaly_ray.stages.validate import SequenceValidator, split_tagged
 from pynomaly_ray.state.commit import atomic_write, publish_dir
 from pynomaly_ray.state.drift import fit_drift_scores
 from pynomaly_ray.state.manifest import (
@@ -77,20 +81,6 @@ from pynomaly_ray.state.manifest import (
     read_full_manifest,
     write_manifest_snapshot,
 )
-
-_PARTIAL_COLS = [
-    "partition_id",
-    "source",
-    "n_rows",
-    "n_tok_sum",
-    "n_tok_sum2",
-    "n_tok_sum3",
-    "tok_hist",
-    "len_hist",
-]
-_DOCPART_COLS = ["doc_id", "doc_hash", "partition_id", "cnt", "salt"]
-_VIOL_COLS = ["doc_id", "partition_id", "check", "detail"]
-
 
 @dataclass
 class ValidationResult:
@@ -100,7 +90,7 @@ class ValidationResult:
     # there (partition_id, source, n_rows, n_violations, loop_score,
     # status) — full records live in ``out_dir/partitions/<run>.parquet``.
     report: pa.Table
-    violations: Optional[pa.Table]
+    violations: pa.Table
     out_dir: Optional[str]
     n_sequences: int
     skipped_partitions: int
@@ -122,10 +112,6 @@ def _filter_completed(ds, done: frozenset):
         )
 
     return ds.map_batches(drop_done, batch_format="pyarrow")
-
-
-def _empty_df(cols) -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series(dtype=object) for c in cols})
 
 
 def _prior_docpart_dirs(out_dir: str, run_id: str, resume: bool) -> list[str]:
@@ -177,7 +163,7 @@ def _write_violations(viol: pa.Table, path: Optional[str]) -> pa.Table:
     """Write ``viol``'s rows at ``path`` (if any); return per-partition counts."""
     if not viol.num_rows:  # an empty duplicate bucket may have no columns
         viol = VIOLATION_SCHEMA.empty_table()
-    viol = viol.select(_VIOL_COLS).cast(VIOLATION_SCHEMA)
+    viol = viol.select(VIOLATION_SCHEMA.names).cast(VIOLATION_SCHEMA)
     if path and viol.num_rows:
         pq.write_table(viol, path)
     # a compute kernel, not Table.group_by: that loads Arrow's Acero
@@ -201,28 +187,17 @@ def _split(block: pa.Table, dp_path, viol_path):
     """One tagged block -> its partial rows, its docpart rows tagged
     ``is_prior=0``, its violation rows and their per-partition counts;
     the docparts and violations are written at the paths (if given)."""
-    if not block.num_rows:  # 0-row blocks skip the validator: any schema
-        block = UNION_SCHEMA.empty_table()
-
-    def rows(kind, cols):  # select first: the filter copies only ``cols``
-        return block.select(cols).filter(pc.equal(block["kind"], kind))
-
-    docparts, viol = rows("docpart", _DOCPART_COLS), rows("violation", _VIOL_COLS)
+    viol, partials, docparts = split_tagged(block)
     if dp_path and docparts.num_rows:
         pq.write_table(docparts, dp_path)
-    return (
-        rows("partial", _PARTIAL_COLS),
-        _tag_prior(docparts, 0),
-        viol,
-        _write_violations(viol, viol_path),
-    )
+    return partials, _tag_prior(docparts, 0), viol, _write_violations(viol, viol_path)
 
 
 _split_tagged = ray.remote(num_returns=4)(_split)
 
 
 def _read_prior(path: str) -> pa.Table:
-    t = pq.read_table(path, columns=_DOCPART_COLS).replace_schema_metadata(None)
+    t = pq.read_table(path, columns=DOCPART_SCHEMA.names).replace_schema_metadata(None)
     return _tag_prior(t, 1)
 
 
@@ -249,14 +224,9 @@ def _stage_b_tail(counts, fetch_viol, viol_dir):
                 "survive. Pass out_dir to persist the rows.",
                 RuntimeWarning,
             )
-        return _empty_df(_VIOL_COLS), vcounts
-    tables = [
-        t.select(_VIOL_COLS).cast(VIOLATION_SCHEMA)
-        for t in fetch_viol()
-        if t.num_rows
-    ]
-    viol_df = pa.concat_tables(tables).to_pandas() if tables else _empty_df(_VIOL_COLS)
-    return viol_df, vcounts
+        return VIOLATION_SCHEMA.empty_table().to_pandas(), vcounts
+    tables = [t for t in fetch_viol() if t.num_rows] or [VIOLATION_SCHEMA.empty_table()]
+    return pa.concat_tables(tables).to_pandas(), vcounts
 
 
 def _post_scan_local(tagged, cfg, out_dir, resume):
@@ -266,15 +236,14 @@ def _post_scan_local(tagged, cfg, out_dir, resume):
     prior_files, dp_dir, viol_dir = _stage_b_dirs(out_dir, cfg.run_id, resume)
     tables = [t for t in ray.get(tagged.to_arrow_refs()) if t.num_rows]
     partials, docparts, viol, counts = _split(
-        pa.concat_tables(tables) if tables else UNION_SCHEMA.empty_table(),
+        pa.concat_tables(tables) if tables else pa.table({}),
         _part(dp_dir, "00000"),
         _part(viol_dir, "00000"),
     )
-    # the stats merge is the driver's peak: run it first, with the fetched
-    # stream and the Arrow partials already freed
+    # the stats merge is the driver's peak: run it first, with only the
+    # split tables left of the fetched stream
     del tables
-    partials = partials.to_pandas()
-    stats_df = merge_partials_df(partials) if len(partials) else _empty_df(_PARTIAL_COLS)
+    stats_df = merge_partials_df(partials.to_pandas())
     dups = bulk_emit_violations(
         pa.concat_tables([docparts] + [_read_prior(f) for f in prior_files])
     )
@@ -314,7 +283,7 @@ def _post_scan_distributed(tagged, cfg, out_dir, resume):
     stats_df = (
         pa.concat_tables(merged, promote_options="permissive").to_pandas()
         if merged
-        else _empty_df(_PARTIAL_COLS)
+        else PARTIAL_STATS_SCHEMA.empty_table().to_pandas()
     )
     viol_df, vcounts = _stage_b_tail(ray.get(counts), lambda: ray.get(viol), viol_dir)
     return viol_df, stats_df, vcounts

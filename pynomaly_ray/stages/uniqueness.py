@@ -30,15 +30,16 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pynomaly_ray.config import VIOLATION_SCHEMA
+from pynomaly_ray.config import DOCPART_SCHEMA, VIOLATION_SCHEMA
 from pynomaly_ray.functions.hashing import hash_strings, nul_safe_key, salt_of
 
 
 def project_doc_partition(batch: pa.Table, salt_buckets: int = 16) -> pa.Table:
-    """Batch-local pre-aggregation to (doc_id, doc_hash, partition_id,
-    cnt, salt).  ``doc_hash`` (stable SipHash of doc_id, as int64) lets
-    downstream total-counting run as numpy integer ops instead of string
-    groupbys; exact doc_id comparison still guards against collisions.
+    """Batch-local pre-aggregation to DOCPART_SCHEMA rows (doc_id,
+    doc_hash, partition_id, cnt, salt).  ``doc_hash`` (stable SipHash of
+    doc_id, as int64) lets downstream total-counting run as numpy integer
+    ops instead of string groupbys; exact doc_id comparison still guards
+    against collisions.
 
     Fast path: when every (doc_id) in the batch is already unique (the
     overwhelmingly common case), all counts are 1 and no pandas groupby
@@ -56,11 +57,12 @@ def project_doc_partition(batch: pa.Table, salt_buckets: int = 16) -> pa.Table:
         return pa.table(
             {
                 "doc_id": doc_id,
+                "doc_hash": pa.array(hashes),
                 "partition_id": part_id,
                 "cnt": pa.array(np.ones(len(hashes), dtype=np.int64)),
-                "doc_hash": pa.array(hashes),
                 "salt": pa.array(salt_of(part_id, salt_buckets)),
-            }
+            },
+            schema=DOCPART_SCHEMA,
         )
     # Arrow hash group-by, not a pandas object groupby: pandas compares
     # object strings as C strings, so doc_ids that differ only after an
@@ -76,13 +78,12 @@ def project_doc_partition(batch: pa.Table, salt_buckets: int = 16) -> pa.Table:
     return pa.table(
         {
             "doc_id": agg_t["doc_id"],
+            "doc_hash": pa.array(hash_strings(agg_t["doc_id"]).view(np.int64)),
             "partition_id": agg_t["partition_id"],
             "cnt": agg_t["count_all"].cast(pa.int64()),
-            "doc_hash": pa.array(
-                hash_strings(agg_t["doc_id"]).view(np.int64)
-            ),
             "salt": pa.array(salt_of(agg_t["partition_id"], salt_buckets)),
-        }
+        },
+        schema=DOCPART_SCHEMA,
     )
 
 

@@ -11,13 +11,15 @@ fails even when its schema was unknown at plan time.  Each block is cut
 into kernel calls of at most ``batch_size`` rows, which bounds the
 kernel's temporaries whatever the row-group size.
 
-The output stream is a tagged union of three row kinds:
+Each kernel call yields ONE row of ``TAGGED_SCHEMA``: its three tables
+as ``list<struct>`` columns, so a row of one pays nothing for the others.
 
   - ``violation``: sparse constraint-violation rows;
-  - ``partial``:   tiny per-partition partial-stat rows (stages/stats.py);
-  - ``docpart``:   batch-level (doc_id, partition_id, cnt, salt) partials
-                   feeding the uniqueness reduction (stages/uniqueness.py).
+  - ``partial``:   per-partition partial-stat rows (stages/stats.py);
+  - ``docpart``:   batch-level doc_id counts feeding the uniqueness
+                   reduction (stages/uniqueness.py).
 
+:func:`split_tagged` is the inverse; no other module reads the layout.
 Only these small streams cross the stage boundary — the wide ``tokens``
 payload never leaves the scan, and the input is read exactly once.  This
 is what makes the pipeline viable at 10^12 sequences.
@@ -30,7 +32,7 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pynomaly_ray.config import PARTIAL_STATS_SCHEMA, VIOLATION_SCHEMA
+from pynomaly_ray.config import DOCPART_SCHEMA, PARTIAL_STATS_SCHEMA, VIOLATION_SCHEMA
 from pynomaly_ray.stages.constraints import (
     check_sequence_batch,
     require_sequence_schema,
@@ -38,32 +40,30 @@ from pynomaly_ray.stages.constraints import (
 from pynomaly_ray.stages.stats import partial_stats_batch
 from pynomaly_ray.stages.uniqueness import project_doc_partition
 
-# Union schema of the tagged stage-A output stream.
-_UNION_FIELDS = (
-    [("kind", pa.string())]
-    + [(f.name, f.type) for f in VIOLATION_SCHEMA]
-    + [
-        (f.name, f.type)
-        for f in PARTIAL_STATS_SCHEMA
-        if f.name not in ("partition_id",)
-    ]
-    + [("doc_hash", pa.int64()), ("cnt", pa.int64()), ("salt", pa.int64())]
+_PARTS = {
+    "violation": VIOLATION_SCHEMA,
+    "partial": PARTIAL_STATS_SCHEMA,
+    "docpart": DOCPART_SCHEMA,
+}
+TAGGED_SCHEMA = pa.schema(
+    [(name, pa.list_(pa.struct(list(schema)))) for name, schema in _PARTS.items()]
 )
-UNION_SCHEMA = pa.schema(_UNION_FIELDS)
 
 
-def _pad_to_union(t: pa.Table, kind: str) -> pa.Table:
-    cols = {"kind": pa.array([kind] * t.num_rows, pa.string())}
-    for f in UNION_SCHEMA:
-        if f.name == "kind":
-            continue
-        if t.schema.get_field_index(f.name) >= 0:
-            cols[f.name] = pc.cast(
-                t[f.name], f.type
-            ) if t.schema.field(f.name).type != f.type else t[f.name]
-        else:
-            cols[f.name] = pa.nulls(t.num_rows, f.type)
-    return pa.table(cols, schema=UNION_SCHEMA)
+def split_tagged(block: pa.Table) -> tuple[pa.Table, pa.Table, pa.Table]:
+    """Tagged rows -> (violations, partials, docparts), each table in its
+    own schema, holding the rows of every kernel call in ``block``."""
+    if not block.num_rows:  # 0-row blocks skip the validator: any schema
+        block = TAGGED_SCHEMA.empty_table()
+    # from_batches, not from_struct_array: that one refuses a column whose
+    # lists are all empty (no chunks left after the flatten)
+    return tuple(
+        pa.Table.from_batches(
+            map(pa.RecordBatch.from_struct_array, pc.list_flatten(block[name]).chunks),
+            schema,
+        )
+        for name, schema in _PARTS.items()
+    )
 
 
 class SequenceValidator:
@@ -109,17 +109,23 @@ class SequenceValidator:
             self.vocab_size,
             valid_sources_arr=self.valid_sources_arr,
         )
-        partials = partial_stats_batch(
-            batch, valid_mask, self.vocab_size or 1
-        )
-        out = []
-        if violations.num_rows:
-            out.append(_pad_to_union(violations, "violation"))
-        if partials.num_rows:
-            out.append(_pad_to_union(partials, "partial"))
-        docparts = project_doc_partition(batch, self.salt_buckets)
-        if docparts.num_rows:
-            out.append(_pad_to_union(docparts, "docpart"))
-        if not out:
-            return UNION_SCHEMA.empty_table()
-        return pa.concat_tables(out)
+        parts = [
+            violations,
+            partial_stats_batch(batch, valid_mask, self.vocab_size or 1),
+            project_doc_partition(batch, self.salt_buckets),
+        ]
+        if not any(t.num_rows for t in parts):
+            return TAGGED_SCHEMA.empty_table()
+        # one list per table; a kernel output that lacks a column of its
+        # declared schema or types it otherwise raises here, never in Ray's
+        # block concat
+        lists = [
+            pa.ListArray.from_arrays(
+                [0, t.num_rows],
+                pa.StructArray.from_arrays(
+                    [t[f.name].combine_chunks() for f in schema], fields=list(schema)
+                ),
+            )
+            for t, schema in zip(parts, _PARTS.values())
+        ]
+        return pa.table(lists, schema=TAGGED_SCHEMA)

@@ -711,7 +711,7 @@ def test_review_regressions_r3c(ray_session):
 
     from pynomaly_ray.config import ValidationConfig
     from pynomaly_ray.pipelines.validation import run_validation
-    from pynomaly_ray.stages.validate import SequenceValidator
+    from pynomaly_ray.stages.validate import SequenceValidator, split_tagged
 
     # a NULL inside a token list must become a violation row, not a
     # TypeError that aborts the scan
@@ -725,7 +725,7 @@ def test_review_regressions_r3c(ray_session):
         }
     )
     out = SequenceValidator(valid_sources=["web"], vocab_size=32768)(t)
-    viol = out.filter(pa.compute.equal(out["kind"], "violation")).to_pandas()
+    viol = split_tagged(out)[0].to_pandas()
     assert "null_token_element" in set(viol["check"])
     assert list(viol.loc[viol["check"] == "null_token_element", "doc_id"]) == ["a"]
 
